@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"triclust"
-	"triclust/internal/core"
 	"triclust/internal/eval"
 	"triclust/internal/par"
 	"triclust/internal/synth"
@@ -84,17 +83,21 @@ func loadCorpus(path string) (*triclust.Corpus, error) {
 }
 
 func runOffline(corpus *triclust.Corpus, k int, alpha, beta float64, maxIter int, seed int64, top int) {
-	opts := triclust.DefaultOptions()
-	opts.Config.K = k
+	cfg := triclust.DefaultConfig()
+	cfg.K = k
 	if alpha >= 0 {
-		opts.Config.Alpha = alpha
+		cfg.Alpha = alpha
 	}
-	opts.Config.Beta = beta
-	opts.Config.MaxIter = maxIter
-	opts.Config.Seed = seed
+	cfg.Beta = beta
+	cfg.MaxIter = maxIter
+	cfg.Seed = seed
 
 	start := time.Now()
-	res, err := triclust.Fit(corpus, opts)
+	t, err := triclust.NewTopic(nil, triclust.WithSolverConfig(triclust.OnlineConfig{Config: cfg}))
+	if err != nil {
+		fatal(err)
+	}
+	res, err := t.FitCorpus(corpus)
 	if err != nil {
 		fatal(err)
 	}
@@ -106,7 +109,7 @@ func runOffline(corpus *triclust.Corpus, k int, alpha, beta float64, maxIter int
 }
 
 func runOnline(corpus *triclust.Corpus, k int, alpha, beta, gamma, tau float64, maxIter int, seed int64) {
-	cfg := core.DefaultOnlineConfig()
+	cfg := triclust.DefaultOnlineConfig()
 	cfg.K = k
 	if alpha >= 0 {
 		cfg.Alpha = alpha
@@ -116,10 +119,7 @@ func runOnline(corpus *triclust.Corpus, k int, alpha, beta, gamma, tau float64, 
 	cfg.Tau = tau
 	cfg.MaxIter = maxIter
 	cfg.Seed = seed
-	sopts := triclust.DefaultStreamOptions()
-	sopts.Config = cfg
-
-	st, err := triclust.NewStream(corpus.Users, sopts)
+	t, err := triclust.NewTopic(corpus.Users, triclust.WithSolverConfig(cfg))
 	if err != nil {
 		fatal(err)
 	}
@@ -140,7 +140,7 @@ func runOnline(corpus *triclust.Corpus, k int, alpha, beta, gamma, tau float64, 
 			continue
 		}
 		start := time.Now()
-		out, err := st.Process(day, batch)
+		out, err := t.Process(day, batch)
 		if err != nil {
 			fatal(err)
 		}

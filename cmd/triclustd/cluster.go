@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"triclust"
 	"triclust/internal/cluster"
 )
 
@@ -142,11 +141,8 @@ func (s *server) routeTopic(w http.ResponseWriter, r *http.Request, name string,
 	if s.cluster == nil || r.Header.Get(handoffHeader) != "" {
 		return true
 	}
-	s.mu.RLock()
-	_, local := s.topics[name]
-	mv, movedOK := s.moved[name]
-	s.mu.RUnlock()
-	if local {
+	tp, mv, movedOK := s.placement(name)
+	if tp != nil {
 		return true
 	}
 	if movedOK {
@@ -260,10 +256,7 @@ func (s *server) setMoved(name string, ts cluster.Tombstone) error {
 	}
 	l := s.lockName(name)
 	defer s.unlockName(name, l)
-	if err := cluster.WriteTombstone(s.store.fs, s.store.dir, name, ts); err != nil {
-		return err
-	}
-	return s.store.syncDir()
+	return cluster.WriteTombstone(s.store.fs, s.store.dir, name, ts)
 }
 
 // clearMoved undoes setMoved after a failed hand-off.
@@ -334,12 +327,9 @@ func (s *server) moveTopic(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.RLock()
-	tp, local := s.topics[req.Topic]
-	mv, movedOK := s.moved[req.Topic]
-	s.mu.RUnlock()
+	tp, mv, movedOK := s.placement(req.Topic)
 	switch {
-	case local:
+	case tp != nil:
 		// fall through to the live hand-off below
 	case movedOK:
 		if s.pendingHandoff(req.Topic) {
@@ -384,7 +374,7 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, int, st
 	// follows it to the target.
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	if tp.deleted {
+	if tp.retired() {
 		return moveResponse{}, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name)
 	}
 	// Final compaction: fold the journal tail into one fresh snapshot so
@@ -433,41 +423,18 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, int, st
 			return moveResponse{}, http.StatusBadGateway, codeMoveFailed,
 				fmt.Errorf("install %q on %s: %w", tp.name, target, err)
 		}
-		s.mu.Lock()
-		if s.topics[tp.name] == tp {
-			delete(s.topics, tp.name)
-		}
-		s.mu.Unlock()
-		tp.deleted = true
-		if tp.jw != nil {
-			tp.jw.Close()
-			tp.jw = nil
-		}
+		s.retire(tp)
 		s.logf("hand-off of %q to %s is ambiguous (%v); fence kept, retry the move to resume", tp.name, target, err)
 		return moveResponse{}, http.StatusBadGateway, codeMoveFailed,
 			fmt.Errorf("install %q on %s did not complete: %v — the topic is fenced; retry the move to resume the hand-off",
 				tp.name, target, err)
 	}
 
-	// The target owns the topic now. Drop the local copy: registry entry,
-	// journal handle, snapshot and journal files — the tombstone stays.
+	// The target owns the topic now (and re-seeds its own followers).
+	// Drop the local copy and its files — the tombstone stays.
 	batches := tp.eng().Batches()
-	s.mu.Lock()
-	if s.topics[tp.name] == tp {
-		delete(s.topics, tp.name)
-	}
-	s.mu.Unlock()
-	tp.deleted = true
-	if tp.jw != nil {
-		tp.jw.Close()
-		tp.jw = nil
-	}
+	s.retire(tp)
 	s.removeStale(tp.name)
-	if s.repl != nil {
-		// The new primary re-seeds its own followers; this shard's
-		// shipping state for the topic is obsolete.
-		s.repl.dropTopicState(tp.name)
-	}
 	s.logf("moved topic %q to %s at epoch %d (%d batches)", tp.name, target, newEpoch, batches)
 	return moveResponse{
 		Topic: tp.name, Source: s.cluster.self, Target: target,
@@ -561,11 +528,8 @@ func (s *server) pendingHandoff(name string) bool {
 	if s.store == nil {
 		return false
 	}
-	s.mu.RLock()
-	_, movedOK := s.moved[name]
-	_, local := s.topics[name]
-	s.mu.RUnlock()
-	return movedOK && !local && s.store.snapExists(name)
+	tp, _, movedOK := s.placement(name)
+	return movedOK && tp == nil && s.store.snapExists(name)
 }
 
 // resumeMove completes an interrupted hand-off: the tombstone recorded
@@ -581,27 +545,20 @@ func (s *server) resumeMove(w http.ResponseWriter, req moveRequest, mv cluster.T
 	}
 	l := s.lockName(req.Topic)
 	defer s.unlockName(req.Topic, l)
-	data, err := s.store.readSnap(req.Topic)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage,
-			fmt.Errorf("read pending snapshot: %w", err))
-		return
-	}
-	tp, err := triclust.Restore(bytes.NewReader(data))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage,
-			fmt.Errorf("pending snapshot undecodable: %w", err))
-		return
-	}
 	// A real interruption fell between the final compaction and the
 	// install, so the journal should be empty — but replay any tail it
-	// does hold (same verified path as startup recovery) rather than
-	// silently dropping acked batches from an unexpected state.
-	rt := &restoredTopic{tp: tp}
-	if replayed := s.store.recoverJournal(req.Topic, rt, data, s.logf); replayed > 0 {
-		s.logf("resume of %q replayed %d journal records on top of the pending snapshot", req.Topic, replayed)
+	// does hold (the verified startup recovery) rather than silently
+	// dropping acked batches from an unexpected state.
+	rt, err := s.store.load(req.Topic, s.logf)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, codeStorage,
+			fmt.Errorf("load pending snapshot: %w", err))
+		return
 	}
-	tp = rt.tp
+	if rt.replayed > 0 {
+		s.logf("resume of %q replayed %d journal records on top of the pending snapshot", req.Topic, rt.replayed)
+	}
+	tp := rt.tp
 	// The on-disk snapshot predates the epoch bump (it was the final
 	// compaction); re-stamp it with the fencing epoch before installing.
 	tp.SetEpoch(mv.Epoch)
@@ -730,12 +687,9 @@ func (s *server) clusterInfo(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		pl := &topicPlacement{Name: name}
-		s.mu.RLock()
-		tp, local := s.topics[name]
-		mv, movedOK := s.moved[name]
-		s.mu.RUnlock()
+		tp, mv, movedOK := s.placement(name)
 		switch {
-		case local:
+		case tp != nil:
 			pl.Owner, pl.Local, pl.Epoch = s.cluster.self, true, tp.eng().Epoch()
 		case movedOK:
 			pl.Owner, pl.Epoch = mv.Target, mv.Epoch

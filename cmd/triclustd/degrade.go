@@ -14,25 +14,12 @@ import (
 	"time"
 )
 
-// Per-topic storage states. A topic leaves stOK when its durable writes
-// keep failing (stDegraded: read-only, reads served from the last
-// durable state via the RCU view) and falls to stParked when even the
-// rollback reload failed — the daemon then holds NO state disk vouches
-// for, so the topic serves nothing until a probe-driven reload succeeds.
-//
-//	stOK ──(DegradeAfter consecutive failures, or ENOSPC)──▶ stDegraded
-//	stOK/stDegraded ──(rollback reload fails)──▶ stParked
-//	stDegraded ──(probe ok + compaction save ok)──▶ stOK
-//	stParked ──(probe ok + reload ok + save ok)──▶ stOK
-//
+// The storage half of the topic lifecycle (lifecycle.go): durable
+// writes that keep failing degrade a topic to read-only, a failed
+// rollback reload parks it, and the write probe brings both back.
 // Past ShardAfter degraded/parked topics the whole shard turns
 // read-only: every write answers 503 storage_readonly, because a disk
 // failing across topics is a disk about to fail the next topic too.
-const (
-	stOK int32 = iota
-	stDegraded
-	stParked
-)
 
 // storageOptions tune the degraded-mode state machine.
 type storageOptions struct {
@@ -113,9 +100,11 @@ func (m *storageMonitor) retrySeconds() string {
 }
 
 // noteSuccess resets a topic's consecutive-failure count after any
-// successful durable write. One atomic load on the hot path.
+// successful durable write. One atomic load on the hot path. Like
+// noteFailure and park, it runs only on servers with a store, so m is
+// never nil here.
 func (m *storageMonitor) noteSuccess(tp *topic) {
-	if m != nil && tp.storFails.Load() != 0 {
+	if tp.storFails.Load() != 0 {
 		tp.storFails.Store(0)
 	}
 }
@@ -123,16 +112,12 @@ func (m *storageMonitor) noteSuccess(tp *topic) {
 // noteFailure records a failed durable write on tp, degrading the topic
 // once failures look persistent. Callers hold tp.mu.
 func (m *storageMonitor) noteFailure(tp *topic, err error) {
-	if m == nil {
-		return
-	}
 	m.failures.Add(1)
 	msg := err.Error()
 	m.lastErr.Store(&msg)
 	n := int(tp.storFails.Add(1))
 	if n >= m.opts.DegradeAfter || errors.Is(err, syscall.ENOSPC) {
-		if tp.storage.CompareAndSwap(stOK, stDegraded) {
-			tp.degraded.Store(true)
+		if from, to := tp.transition(evDegrade); from != to {
 			m.s.logf("topic %q storage-degraded after %d consecutive durable-write failures: %v", tp.name, n, err)
 		}
 		m.recount()
@@ -163,7 +148,7 @@ func (s *server) readGate(w http.ResponseWriter, tp *topic) bool {
 	if s.storage == nil {
 		return true
 	}
-	switch tp.storage.Load() {
+	switch tp.state() {
 	case stParked:
 		s.retryAfter(w, codeStorageDegraded)
 		writeError(w, http.StatusServiceUnavailable, codeStorageDegraded,
@@ -181,11 +166,7 @@ func (s *server) readGate(w http.ResponseWriter, tp *topic) bool {
 // and writes both refuse until a probe-driven reload succeeds. Callers
 // hold tp.mu.
 func (m *storageMonitor) park(tp *topic, err error) {
-	if m == nil {
-		return
-	}
-	tp.storage.Store(stParked)
-	tp.degraded.Store(true)
+	tp.transition(evPark)
 	msg := err.Error()
 	m.lastErr.Store(&msg)
 	m.s.logf("topic %q parked: durable state unreadable after a storage failure (%v); refusing reads and writes until recovery re-reads disk", tp.name, err)
@@ -197,14 +178,10 @@ func (m *storageMonitor) park(tp *topic, err error) {
 // non-"" code means refuse with that status/code (and a Retry-After in
 // the HTTP layer).
 func (m *storageMonitor) writeGate(tp *topic) (int, string, error) {
-	if m == nil {
-		return 0, "", nil
+	if status, code, err := m.shardGate(); m == nil || code != "" {
+		return status, code, err
 	}
-	if m.readonly.Load() {
-		return http.StatusServiceUnavailable, codeStorageReadonly,
-			fmt.Errorf("shard is read-only: %d+ topics have degraded storage; retry after recovery", m.opts.ShardAfter)
-	}
-	switch tp.storage.Load() {
+	switch tp.state() {
 	case stParked:
 		return http.StatusServiceUnavailable, codeStorageDegraded,
 			fmt.Errorf("topic %q is parked after a storage failure (durable state unreadable); retry after recovery", tp.name)
@@ -226,17 +203,14 @@ func (m *storageMonitor) shardGate() (int, string, error) {
 	return 0, "", nil
 }
 
+// unwell selects topics that are not serving.
+func unwell(tp *topic) bool { return tp.state() != stServing }
+
 // recount recomputes the shard-level read-only switch from the current
-// per-topic states. Safe under tp.mu (lock order tp.mu → s.mu).
-func (m *storageMonitor) recount() {
-	n := 0
-	m.s.mu.RLock()
-	for _, tp := range m.s.topics {
-		if tp.storage.Load() != stOK {
-			n++
-		}
-	}
-	m.s.mu.RUnlock()
+// per-topic states and reports how many topics are not serving. Safe
+// under tp.mu (lock order tp.mu → s.mu).
+func (m *storageMonitor) recount() int {
+	n := len(m.s.served(unwell))
 	was := m.readonly.Swap(n >= m.opts.ShardAfter)
 	now := n >= m.opts.ShardAfter
 	if now && !was {
@@ -244,10 +218,11 @@ func (m *storageMonitor) recount() {
 	} else if was && !now {
 		m.s.logf("shard writable again: %d topics with degraded storage (threshold %d)", n, m.opts.ShardAfter)
 	}
+	return n
 }
 
 // ensureProber starts the probe loop if it is not already running. The
-// loop stops itself once every topic is back to stOK, so servers that
+// loop stops itself once every topic is serving again, so servers that
 // never degrade never run it.
 func (m *storageMonitor) ensureProber() {
 	m.mu.Lock()
@@ -279,20 +254,11 @@ func (m *storageMonitor) probeLoop(stop chan struct{}) {
 		m.lastProbe.Store(&ok)
 		// Writes work again: walk the degraded topics and prove each one
 		// back to health with a real reload + compaction save.
-		m.s.mu.RLock()
-		pending := make([]*topic, 0, len(m.s.topics))
-		for _, tp := range m.s.topics {
-			if tp.storage.Load() != stOK {
-				pending = append(pending, tp)
-			}
-		}
-		m.s.mu.RUnlock()
-		for _, tp := range pending {
+		for _, tp := range m.s.served(unwell) {
 			m.recoverTopic(tp)
 		}
-		m.recount()
 		// Nothing left to watch: stop until the next degrade.
-		if m.allOK() {
+		if m.recount() == 0 {
 			m.mu.Lock()
 			if m.stop == stop {
 				m.running = false
@@ -301,17 +267,6 @@ func (m *storageMonitor) probeLoop(stop chan struct{}) {
 			return
 		}
 	}
-}
-
-func (m *storageMonitor) allOK() bool {
-	m.s.mu.RLock()
-	defer m.s.mu.RUnlock()
-	for _, tp := range m.s.topics {
-		if tp.storage.Load() != stOK {
-			return false
-		}
-	}
-	return true
 }
 
 // probeWrite proves the data directory accepts durable writes: create,
@@ -341,28 +296,21 @@ func (m *storageMonitor) probeWrite() error {
 
 // recoverTopic brings one degraded/parked topic back: a parked topic is
 // first rebuilt from disk (the only trustworthy source once the
-// in-memory state ran ahead of a failed rollback), then either kind
-// proves writability with a compaction save. Failure leaves the state
-// unchanged for the next probe round.
+// in-memory state ran ahead of a failed rollback) and so becomes
+// degraded, then a compaction save proves writability and returns it to
+// serving. A failure leaves the topic for the next probe round.
 func (m *storageMonitor) recoverTopic(tp *topic) {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	state := tp.storage.Load()
-	if state == stOK || tp.deleted {
-		tp.storage.Store(stOK)
+	switch tp.state() {
+	case stServing, stRetired:
 		return
-	}
-	if state == stParked {
-		epoch := tp.eng().Epoch()
-		fresh, err := m.s.store.reloadTopic(tp.name, m.s.logf)
-		if err != nil {
+	case stParked:
+		if err := m.s.reloadEngine(tp); err != nil {
 			m.s.logf("recovery reload %q: %v (still parked)", tp.name, err)
 			return
 		}
-		fresh.SetEpoch(epoch)
-		fresh.SetConformanceMode(m.s.conform)
-		tp.engp.Store(fresh)
-		tp.jRecords = 0
+		tp.transition(evReload)
 	}
 	// The proving write: a fresh snapshot + journal rotation. This also
 	// re-bases the followers (replShip below), so replication converges
@@ -372,9 +320,8 @@ func (m *storageMonitor) recoverTopic(tp *topic) {
 		m.s.logf("recovery save %q: %v (still degraded)", tp.name, err)
 		return
 	}
-	tp.storage.Store(stOK)
+	tp.transition(evSave)
 	tp.storFails.Store(0)
-	tp.degraded.Store(false)
 	m.recoveries.Add(1)
 	if !ok {
 		return // deleted concurrently; nothing to ship
@@ -414,7 +361,7 @@ func (m *storageMonitor) health(served []*topic) *storageHealth {
 		Probes:     m.probes.Load(),
 	}
 	for _, tp := range served {
-		switch tp.storage.Load() {
+		switch tp.state() {
 		case stDegraded:
 			h.Degraded = append(h.Degraded, tp.name)
 		case stParked:

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -102,46 +104,39 @@ func (st *store) replMetaPath(name string) string {
 	return filepath.Join(st.dir, name+".rmeta")
 }
 
-// save writes one topic's snapshot atomically: a crash mid-write leaves
-// the previous snapshot intact, never a torn file (and Restore would
-// reject a torn file by checksum anyway). It returns the CRC-32C of the
-// written file — the identity a journal extending this snapshot records.
+// save writes one topic's snapshot atomically (fault.WriteFileAtomic):
+// a crash mid-write leaves the previous snapshot intact, never a torn
+// file. It returns the CRC-32C of the written file — the identity a
+// journal extending this snapshot records. An error wrapping
+// fault.ErrDirNotSynced still returns the CRC: the file is in place.
 func (st *store) save(name string, tp *triclust.Topic) (uint32, error) {
-	if st == nil {
-		return 0, nil
-	}
-	tmp, err := st.fs.CreateTemp("persist.snap.tmp", st.dir, name+".snap.tmp*")
-	if err != nil {
+	var cw *journal.CRCWriter
+	err := fault.WriteFileAtomic(st.fs, "persist.snap", dirSyncSite, st.path(name), func(w io.Writer) error {
+		cw = journal.NewCRCWriter(w)
+		return tp.Snapshot(cw)
+	})
+	if err != nil && !errors.Is(err, fault.ErrDirNotSynced) {
 		return 0, err
 	}
-	defer st.fs.Remove("persist.snap.cleanup", tmp.Name())
-	cw := journal.NewCRCWriter(fault.SiteWriter(tmp, "persist.snap.write"))
-	if err := tp.Snapshot(cw); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Sync("persist.snap.sync"); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := st.fs.Rename("persist.snap.rename", tmp.Name(), st.path(name)); err != nil {
-		return 0, err
-	}
-	// The rename itself must be durable too: fsync the directory so the
-	// new entry survives a power failure, not just a process crash.
-	if err := st.syncDir(); err != nil {
-		return 0, err
-	}
-	return cw.Sum(), nil
+	return cw.Sum(), err
 }
+
+// writeAtomic durably replaces path with data (fault.WriteFileAtomic,
+// sites area.tmp|write|sync|rename|cleanup and dirSyncSite).
+func (st *store) writeAtomic(area, path string, data []byte) error {
+	return fault.WriteFileAtomic(st.fs, area, dirSyncSite, path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// dirSyncSite is the failpoint of every fsync of the data directory.
+const dirSyncSite = "persist.dir.sync"
 
 // syncDir fsyncs the data directory, making renames and newly created
 // journal files durable.
 func (st *store) syncDir() error {
-	return st.fs.SyncDir("persist.dir.sync", st.dir)
+	return st.fs.SyncDir(dirSyncSite, st.dir)
 }
 
 // quarantineName returns the first unoccupied quarantine filename for
@@ -195,12 +190,7 @@ func (st *store) snapExists(name string) bool {
 	return err == nil
 }
 
-// readSnap returns a topic's on-disk snapshot bytes.
-func (st *store) readSnap(name string) ([]byte, error) {
-	return st.fs.ReadFile("persist.snap.read", st.path(name))
-}
-
-// restoredTopic is one topic recovered at startup: the live topic plus
+// restoredTopic is one topic recovered from disk: the live topic plus
 // how many journal records were replayed on top of its snapshot (> 0
 // means the in-memory state is ahead of the on-disk snapshot and should
 // be compacted).
@@ -220,60 +210,66 @@ func (st *store) loadAll(warn func(format string, args ...any)) (map[string]*res
 	if st == nil {
 		return nil, nil
 	}
-	entries, err := os.ReadDir(st.dir)
+	names, err := st.scan(".snap", warn)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]*restoredTopic)
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".snap") {
+	for _, name := range names {
+		rt, err := st.load(name, warn)
+		if errors.Is(err, codec.ErrVersion) {
+			// An old-format snapshot is not corrupt — it is intact data
+			// this build cannot replay (e.g. a version-1 file whose
+			// random-stream position belongs to the old generator).
+			// Quarantine it under a suffix the loader ignores, so
+			// re-creating the topic cannot atomically overwrite the only
+			// copy of the old state. The quarantine name itself must not
+			// clobber an earlier quarantined copy (possible after an
+			// upgrade → rollback → upgrade cycle), so pick the first free
+			// slot.
+			st.quarantine(name+".snap", "unsupported-version", warn, err)
 			continue
 		}
-		name := strings.TrimSuffix(e.Name(), ".snap")
-		if err := validTopicName(name); err != nil {
-			st.quarantined.Add(1)
-			warn("skipping %s: %v", e.Name(), err)
-			continue
-		}
-		data, err := st.fs.ReadFile("persist.snap.read", filepath.Join(st.dir, e.Name()))
 		if err != nil {
 			st.quarantined.Add(1)
-			warn("skipping %s: %v", e.Name(), err)
+			warn("skipping %s.snap: %v", name, err)
 			continue
 		}
-		tp, err := triclust.Restore(bytes.NewReader(data))
-		if err != nil {
-			if errors.Is(err, codec.ErrVersion) {
-				// An old-format snapshot is not corrupt — it is intact
-				// data this build cannot replay (e.g. a version-1 file
-				// whose random-stream position belongs to the old
-				// generator). Quarantine it under a suffix the loader
-				// ignores, so re-creating the topic cannot atomically
-				// overwrite the only copy of the old state. The
-				// quarantine name itself must not clobber an earlier
-				// quarantined copy (possible after an upgrade → rollback
-				// → upgrade cycle), so pick the first free slot.
-				st.quarantine(e.Name(), "unsupported-version", warn, err)
-				continue
-			}
-			st.quarantined.Add(1)
-			warn("skipping %s: %v", e.Name(), err)
-			continue
-		}
-		rt := &restoredTopic{tp: tp}
-		rt.replayed = st.recoverJournal(name, rt, data, warn)
 		out[name] = rt
 	}
 	return out, nil
 }
 
-// reloadTopic rebuilds one topic from its on-disk state (snapshot +
-// journal tail), exactly as a restart would: the recovery path for a
-// failed journal append, where the in-memory topic has advanced past
-// what disk can vouch for and must be rolled back to the durable
-// position.
-func (st *store) reloadTopic(name string, warn func(format string, args ...any)) (*triclust.Topic, error) {
-	data, err := st.readSnap(name)
+// scan lists the topic names with a <name><suffix> file in the data
+// directory. A file whose stem is not a valid topic name is reported
+// through warn and counted as quarantined.
+func (st *store) scan(suffix string, warn func(format string, args ...any)) ([]string, error) {
+	entries, err := os.ReadDir(st.dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), suffix) {
+			continue
+		}
+		name := strings.TrimSuffix(e.Name(), suffix)
+		if err := validTopicName(name); err != nil {
+			st.quarantined.Add(1)
+			warn("skipping %s: %v", e.Name(), err)
+			continue
+		}
+		names = append(names, name)
+	}
+	return names, nil
+}
+
+// load rebuilds one topic from its on-disk state — snapshot plus
+// verified journal tail — exactly as a restart would. It is the recovery
+// behind startup, the rollback reload after a failed journal append, and
+// a resumed hand-off.
+func (st *store) load(name string, warn func(format string, args ...any)) (*restoredTopic, error) {
+	data, err := st.fs.ReadFile("persist.snap.read", st.path(name))
 	if err != nil {
 		return nil, err
 	}
@@ -282,8 +278,8 @@ func (st *store) reloadTopic(name string, warn func(format string, args ...any))
 		return nil, err
 	}
 	rt := &restoredTopic{tp: tp}
-	st.recoverJournal(name, rt, data, warn)
-	return rt.tp, nil
+	rt.replayed = st.recoverJournal(name, rt, data, warn)
+	return rt, nil
 }
 
 // recoverJournal replays <name>.journal on top of the freshly restored
@@ -293,13 +289,11 @@ func (st *store) reloadTopic(name string, warn func(format string, args ...any))
 // ignored when merely stale) and the topic re-restored from the snapshot
 // bytes if replay had already touched it.
 func (st *store) recoverJournal(name string, rt *restoredTopic, snapData []byte, warn func(format string, args ...any)) int {
-	jp := st.journalPath(name)
-	j, err := journal.Load(st.fs, jp)
+	j, err := journal.Load(st.fs, st.journalPath(name))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return 0
+		if !os.IsNotExist(err) {
+			st.quarantine(name+".journal", "corrupt", warn, err)
 		}
-		st.quarantine(name+".journal", "corrupt", warn, err)
 		return 0
 	}
 	if len(j.Records) == 0 {
@@ -316,30 +310,79 @@ func (st *store) recoverJournal(name string, rt *restoredTopic, snapData []byte,
 	if j.Torn {
 		warn("%s.journal has a torn final record (crash mid-append); replaying the %d intact records", name, len(j.Records))
 	}
-	for i, rec := range j.Records {
-		out, err := rt.tp.Process(rec.Time, rec.Tweets)
+	if err := replay(rt.tp, j.Records); err != nil {
+		st.quarantine(name+".journal", "corrupt", warn, err)
+		// Replay already advanced the topic; rebuild it from the
+		// snapshot alone.
+		fresh, rerr := triclust.Restore(bytes.NewReader(snapData))
+		if rerr != nil {
+			warn("re-restore %s.snap after failed replay: %v", name, rerr)
+			return 0
+		}
+		rt.tp = fresh
+		return 0
+	}
+	return len(j.Records)
+}
+
+// replay applies journal records to tp in order, checking after each one
+// that the topic reached the recorded stream fingerprint {batches,
+// randDraws}: determinism makes a faithful replay bit-identical, so any
+// divergence means the records cannot be trusted. It is the one replay
+// behind startup recovery, the rollback reload, resumed hand-offs and
+// replica promotion; each caller decides what a failure costs.
+func replay(tp *triclust.Topic, recs []*journal.Record) error {
+	for i, rec := range recs {
+		out, err := tp.Process(rec.Time, rec.Tweets)
 		if err == nil && out.Skipped {
 			err = errors.New("recorded batch replayed as an empty-batch skip")
 		}
 		if err == nil {
-			if b, d := rt.tp.StreamPos(); b != rec.Batches || d != rec.RandDraws {
+			if b, d := tp.StreamPos(); b != rec.Batches || d != rec.RandDraws {
 				err = fmt.Errorf("fingerprint mismatch: replayed (batches=%d, draws=%d), recorded (batches=%d, draws=%d)",
 					b, d, rec.Batches, rec.RandDraws)
 			}
 		}
 		if err != nil {
-			st.quarantine(name+".journal", "corrupt", warn,
-				fmt.Errorf("replay of record %d/%d failed: %w", i+1, len(j.Records), err))
-			// Replay already advanced the topic; rebuild it from the
-			// snapshot alone.
-			fresh, rerr := triclust.Restore(bytes.NewReader(snapData))
-			if rerr != nil {
-				warn("re-restore %s.snap after failed replay: %v", name, rerr)
-				return 0
-			}
-			rt.tp = fresh
-			return 0
+			return fmt.Errorf("replay of record %d/%d failed: %w", i+1, len(recs), err)
 		}
 	}
-	return len(j.Records)
+	return nil
+}
+
+// replicaFiles is one cold replica as it lies on disk: its meta, the base
+// snapshot bytes (checked against the meta's CRC) and the tail records
+// (checked to extend that base).
+type replicaFiles struct {
+	meta replMeta
+	snap []byte
+	tail []*journal.Record
+}
+
+// loadReplicaFiles reads and cross-checks a cold replica's three files —
+// the one loader behind startup (loadReplica) and promotion.
+func (st *store) loadReplicaFiles(name string) (*replicaFiles, error) {
+	data, err := st.fs.ReadFile("repl.meta.read", st.replMetaPath(name))
+	if err != nil {
+		return nil, err
+	}
+	rf := &replicaFiles{}
+	if err := json.Unmarshal(data, &rf.meta); err != nil {
+		return nil, fmt.Errorf("meta undecodable: %w", err)
+	}
+	if rf.snap, err = st.fs.ReadFile("repl.snap.read", st.replSnapPath(name)); err != nil {
+		return nil, err
+	}
+	if crc := codec.Checksum(rf.snap); crc != rf.meta.SnapCRC {
+		return nil, fmt.Errorf("base snapshot CRC %08x does not match meta %08x", crc, rf.meta.SnapCRC)
+	}
+	j, err := journal.Load(st.fs, st.replJournalPath(name))
+	if err != nil {
+		return nil, fmt.Errorf("tail journal: %w", err)
+	}
+	if j.SnapCRC != rf.meta.SnapCRC {
+		return nil, fmt.Errorf("tail journal extends snapshot %08x, meta names %08x", j.SnapCRC, rf.meta.SnapCRC)
+	}
+	rf.tail = j.Records
+	return rf, nil
 }

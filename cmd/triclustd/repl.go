@@ -39,9 +39,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -390,14 +388,12 @@ func (r *replicator) resyncLoop() {
 		delete(r.queued, name)
 		r.mu.Unlock()
 		s := r.s
-		s.mu.RLock()
-		tp := s.topics[name]
-		s.mu.RUnlock()
+		tp, _, _ := s.placement(name)
 		if tp == nil {
 			continue
 		}
 		tp.mu.Lock()
-		if !tp.deleted {
+		if !tp.retired() {
 			// Full re-ship to the followers that fell behind; errors mark
 			// them unsynced again and re-queue (unless the follower is now
 			// declared down — then the peer-up sweep owns the re-queue).
@@ -519,7 +515,7 @@ func (r *replicator) postOnce(peer, name string, frame []byte) (replAck, *shipEr
 // queued, and the batch acks with fewer live copies.
 func (s *server) replShip(tp *topic, frame []byte, batches int, draws uint64, async bool) (int, string, error) {
 	r := s.repl
-	if r == nil || tp.deleted {
+	if r == nil || tp.retired() {
 		return 0, "", nil
 	}
 	peers := r.followerPeers(tp.name)
@@ -627,35 +623,22 @@ func (s *server) replShip(tp *topic, frame []byte, batches int, draws uint64, as
 	return 0, "", nil
 }
 
-// fenceLocal demotes this shard's copy of a topic: it is unregistered,
-// its journal handle closed, a tombstone at the given epoch written (so
-// clients are redirected to target and stale-epoch state cannot
-// re-register), and its files dropped. Caller holds tp.mu.
+// fenceLocal demotes this shard's copy of a topic: it is retired, a
+// tombstone at the given epoch written (so clients are redirected to
+// target and stale-epoch state cannot re-register), and its files
+// dropped. Caller holds tp.mu.
 func (s *server) fenceLocal(tp *topic, epoch uint64, target string) {
-	s.mu.Lock()
-	if s.topics[tp.name] == tp {
-		delete(s.topics, tp.name)
-	}
-	s.mu.Unlock()
-	tp.deleted = true
-	if tp.jw != nil {
-		tp.jw.Close()
-		tp.jw = nil
-	}
+	s.retire(tp)
 	if err := s.setMoved(tp.name, cluster.Tombstone{Epoch: epoch, Target: target}); err != nil {
 		s.logf("fence %q: tombstone not persisted: %v", tp.name, err)
 	}
 	s.removeStale(tp.name)
-	if s.repl != nil {
-		s.repl.dropTopicState(tp.name)
-	}
 }
 
 // dropReplicas asks a deleted topic's followers to drop their cold
 // replicas (best effort, off the request path).
 func (r *replicator) dropReplicas(name string, epoch uint64) {
 	peers := r.followerPeers(name)
-	r.dropTopicState(name)
 	r.spawn(func() {
 		for _, peer := range peers {
 			ctx, cancel := context.WithTimeout(context.Background(), r.opts.ShipTimeout)
@@ -706,21 +689,12 @@ func (r *replicator) forgetReplica(name string, rep *replica) {
 // next contact.
 func (r *replicator) loadReplicas() {
 	st := r.s.store
-	entries, err := os.ReadDir(st.dir)
+	names, err := st.scan(".rmeta", r.s.logf)
 	if err != nil {
 		r.s.logf("replica scan: %v", err)
 		return
 	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".rmeta") {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), ".rmeta")
-		if err := validTopicName(name); err != nil {
-			st.quarantined.Add(1)
-			r.s.logf("skipping replica %s: %v", e.Name(), err)
-			continue
-		}
+	for _, name := range names {
 		rep, err := r.loadReplica(name)
 		if err != nil {
 			st.quarantined.Add(1)
@@ -734,32 +708,13 @@ func (r *replicator) loadReplicas() {
 }
 
 func (r *replicator) loadReplica(name string) (*replica, error) {
-	st := r.s.store
-	data, err := st.fs.ReadFile("repl.meta.read", st.replMetaPath(name))
+	rf, err := r.s.store.loadReplicaFiles(name)
 	if err != nil {
 		return nil, err
 	}
-	var meta replMeta
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return nil, fmt.Errorf("meta undecodable: %w", err)
-	}
-	snap, err := st.fs.ReadFile("repl.snap.read", st.replSnapPath(name))
-	if err != nil {
-		return nil, err
-	}
-	if crc := codec.Checksum(snap); crc != meta.SnapCRC {
-		return nil, fmt.Errorf("base snapshot CRC %08x does not match meta %08x", crc, meta.SnapCRC)
-	}
-	j, err := journal.Load(st.fs, st.replJournalPath(name))
-	if err != nil {
-		return nil, fmt.Errorf("tail journal: %w", err)
-	}
-	if j.SnapCRC != meta.SnapCRC {
-		return nil, fmt.Errorf("tail journal extends snapshot %08x, meta names %08x", j.SnapCRC, meta.SnapCRC)
-	}
-	rep := &replica{meta: meta, batches: meta.Batches, draws: meta.RandDraws}
-	if n := len(j.Records); n > 0 {
-		last := j.Records[n-1]
+	rep := &replica{meta: rf.meta, batches: rf.meta.Batches, draws: rf.meta.RandDraws}
+	if n := len(rf.tail); n > 0 {
+		last := rf.tail[n-1]
 		rep.batches, rep.draws = last.Batches, last.RandDraws
 	}
 	return rep, nil
@@ -794,26 +749,7 @@ func (st *store) writeReplMeta(name string, meta replMeta) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := st.fs.CreateTemp("repl.meta.tmp", st.dir, name+".rmeta.tmp*")
-	if err != nil {
-		return err
-	}
-	defer st.fs.Remove("repl.meta.cleanup", tmp.Name())
-	if _, err := tmp.Write("repl.meta.write", data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync("repl.meta.sync"); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := st.fs.Rename("repl.meta.rename", tmp.Name(), st.replMetaPath(name)); err != nil {
-		return err
-	}
-	return st.syncDir()
+	return st.writeAtomic("repl.meta", st.replMetaPath(name), data)
 }
 
 // replicaAppend implements POST /v1/replica/{topic}/append — the wire a
@@ -858,11 +794,8 @@ func (s *server) replicaAppend(w http.ResponseWriter, req *http.Request) {
 	// frame is stored as a replica without touching the served topic —
 	// demoting here would deadlock against the hand-off holding tp.mu, and
 	// refusing would fence the legitimate new owner.
-	s.mu.RLock()
-	tp, local := s.topics[name]
-	mv, movedOK := s.moved[name]
-	s.mu.RUnlock()
-	if local {
+	tp, mv, movedOK := s.placement(name)
+	if tp != nil {
 		if le := tp.eng().Epoch(); le > fr.Epoch {
 			w.Header().Set(epochHeader, strconv.FormatUint(le, 10))
 			w.Header().Set(shardHeader, s.cluster.self)
@@ -871,7 +804,7 @@ func (s *server) replicaAppend(w http.ResponseWriter, req *http.Request) {
 			return
 		} else if le < fr.Epoch {
 			tp.mu.Lock()
-			if !tp.deleted {
+			if !tp.retired() {
 				s.logf("topic %q: replica frame at epoch %d outranks local epoch %d; demoting to follower",
 					name, fr.Epoch, tp.eng().Epoch())
 				s.fenceLocal(tp, fr.Epoch-1, fr.Source)
@@ -922,27 +855,7 @@ func (s *server) installReplica(w http.ResponseWriter, rep *replica, name string
 			fmt.Errorf("shipped tail does not extend the shipped base: %w", err))
 		return
 	}
-	tmp, err := st.fs.CreateTemp("repl.snap.tmp", st.dir, name+".rsnap.tmp*")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
-	}
-	defer st.fs.Remove("repl.snap.cleanup", tmp.Name())
-	if _, err := tmp.Write("repl.snap.write", fr.Snapshot); err != nil {
-		tmp.Close()
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
-	}
-	if err := tmp.Sync("repl.snap.sync"); err != nil {
-		tmp.Close()
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		writeError(w, http.StatusInternalServerError, codeStorage, err)
-		return
-	}
-	if err := st.fs.Rename("repl.snap.rename", tmp.Name(), st.replSnapPath(name)); err != nil {
+	if err := st.writeAtomic("repl.snap", st.replSnapPath(name), fr.Snapshot); err != nil {
 		writeError(w, http.StatusInternalServerError, codeStorage, err)
 		return
 	}
@@ -1091,15 +1004,8 @@ func (r *replicator) onPeerChange(peer string, down bool) {
 }
 
 func (r *replicator) resyncAllLocal() {
-	s := r.s
-	s.mu.RLock()
-	names := make([]string, 0, len(s.topics))
-	for name := range s.topics {
-		names = append(names, name)
-	}
-	s.mu.RUnlock()
-	for _, name := range names {
-		r.enqueueResync(name)
+	for _, tp := range r.s.served(nil) {
+		r.enqueueResync(tp.name)
 	}
 }
 
@@ -1140,10 +1046,7 @@ func (r *replicator) maybePromote(name, source string) {
 	if !ok || first != s.cluster.self {
 		return
 	}
-	s.mu.RLock()
-	_, local := s.topics[name]
-	s.mu.RUnlock()
-	if local {
+	if tp, _, _ := s.placement(name); tp != nil {
 		return
 	}
 	rep := r.replicaFor(name, false)
@@ -1186,57 +1089,32 @@ func (r *replicator) maybePromote(name, source string) {
 // bump the epoch past the dead primary's, register, persist, and drop the
 // replica files. rep.mu held.
 func (s *server) promoteReplica(name string, rep *replica) error {
-	st := s.store
-	snapData, err := st.fs.ReadFile("repl.snap.read", st.replSnapPath(name))
-	if err != nil {
-		return err
-	}
-	if crc := codec.Checksum(snapData); crc != rep.meta.SnapCRC {
-		return fmt.Errorf("base snapshot CRC %08x does not match meta %08x", crc, rep.meta.SnapCRC)
-	}
-	tr, err := triclust.Restore(bytes.NewReader(snapData))
-	if err != nil {
-		return fmt.Errorf("base snapshot undecodable: %w", err)
-	}
-	if b, d := tr.StreamPos(); b != rep.meta.Batches || d != rep.meta.RandDraws {
-		return fmt.Errorf("base snapshot is at (batches=%d, draws=%d), meta declares (batches=%d, draws=%d)",
-			b, d, rep.meta.Batches, rep.meta.RandDraws)
-	}
 	if rep.jw != nil {
 		rep.jw.Close()
 		rep.jw = nil
 	}
-	j, err := journal.Load(st.fs, st.replJournalPath(name))
+	rf, err := s.store.loadReplicaFiles(name)
 	if err != nil {
-		return fmt.Errorf("tail journal: %w", err)
+		return err
 	}
-	if j.SnapCRC != rep.meta.SnapCRC {
-		return fmt.Errorf("tail journal extends snapshot %08x, meta names %08x", j.SnapCRC, rep.meta.SnapCRC)
+	tr, err := triclust.Restore(bytes.NewReader(rf.snap))
+	if err != nil {
+		return fmt.Errorf("base snapshot undecodable: %w", err)
 	}
-	for i, rec := range j.Records {
-		out, err := tr.Process(rec.Time, rec.Tweets)
-		if err == nil && out.Skipped {
-			err = errors.New("recorded batch replayed as an empty-batch skip")
-		}
-		if err == nil {
-			if b, d := tr.StreamPos(); b != rec.Batches || d != rec.RandDraws {
-				err = fmt.Errorf("fingerprint mismatch: replayed (batches=%d, draws=%d), recorded (batches=%d, draws=%d)",
-					b, d, rec.Batches, rec.RandDraws)
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("replay of tail record %d/%d failed: %w", i+1, len(j.Records), err)
-		}
+	if b, d := tr.StreamPos(); b != rf.meta.Batches || d != rf.meta.RandDraws {
+		return fmt.Errorf("base snapshot is at (batches=%d, draws=%d), meta declares (batches=%d, draws=%d)",
+			b, d, rf.meta.Batches, rf.meta.RandDraws)
 	}
-	newEpoch := rep.meta.Epoch + 1
+	// Unlike startup recovery, a tail that does not replay refuses the
+	// promotion outright: serving the base alone would drop batches the
+	// dead primary acknowledged.
+	if err := replay(tr, rf.tail); err != nil {
+		return err
+	}
+	newEpoch := rf.meta.Epoch + 1
 	tr.SetEpoch(newEpoch)
-	// Replay above ran without a conformance mode (recorded batches were
-	// already accepted by the dead primary); the promoted topic enforces
-	// this shard's policy from its first fresh batch.
-	tr.SetConformanceMode(s.conform)
-	tp := &topic{name: name, created: time.Now().UTC()}
-	tp.engp.Store(tr)
-	if code, err := s.tryRegister(tp, newEpoch); err != nil {
+	tp := s.newTopic(name, tr)
+	if code, err := s.register(tp, newEpoch); err != nil {
 		return fmt.Errorf("register promoted topic: %s: %w", code, err)
 	}
 	tp.mu.Lock()
@@ -1249,7 +1127,7 @@ func (s *server) promoteReplica(name string, rep *replica) error {
 	rep.dropped = true
 	s.removeReplicaFiles(name)
 	s.logf("promoted replica %q to primary at epoch %d (%d batches; source %s is down)",
-		name, newEpoch, tr.Batches(), rep.meta.Source)
+		name, newEpoch, tr.Batches(), rf.meta.Source)
 	// The caller (holding rep.mu) forgets the map entry and seeds this
 	// shard's own followers once the lock is released — the lock
 	// discipline forbids touching r.mu from here.
@@ -1263,13 +1141,7 @@ func (s *server) promoteReplica(name string, rep *replica) error {
 // fenced on its next ship.
 func (r *replicator) reconcileStartup() {
 	s := r.s
-	s.mu.RLock()
-	topics := make([]*topic, 0, len(s.topics))
-	for _, tp := range s.topics {
-		topics = append(topics, tp)
-	}
-	s.mu.RUnlock()
-	for _, tp := range topics {
+	for _, tp := range s.served(nil) {
 		select {
 		case <-r.stop:
 			return
@@ -1282,7 +1154,7 @@ func (r *replicator) reconcileStartup() {
 			}
 			if s.targetHasTopic(peer, tp.name, epoch+1) {
 				tp.mu.Lock()
-				if !tp.deleted {
+				if !tp.retired() {
 					s.logf("topic %q was re-homed to %s while this shard was down; demoting local copy", tp.name, peer)
 					s.fenceLocal(tp, epoch, peer)
 				}
@@ -1315,12 +1187,10 @@ func (r *replicator) rebalanceLoop() {
 
 func (r *replicator) rebalanceOnce() {
 	s := r.s
-	s.mu.RLock()
-	held := make([]string, 0, len(s.topics))
-	for name := range s.topics {
-		held = append(held, name)
+	var held []string
+	for _, tp := range s.served(nil) {
+		held = append(held, tp.name)
 	}
-	s.mu.RUnlock()
 	plan := cluster.PlanRebalance(s.cluster.ring, s.cluster.self, held, func(p string) bool {
 		return !r.det.Down(p)
 	})
@@ -1330,9 +1200,7 @@ func (r *replicator) rebalanceOnce() {
 			return
 		default:
 		}
-		s.mu.RLock()
-		tp := s.topics[mv.Topic]
-		s.mu.RUnlock()
+		tp, _, _ := s.placement(mv.Topic)
 		if tp == nil {
 			continue
 		}
@@ -1368,13 +1236,10 @@ type replicaLagJSON struct {
 
 func (r *replicator) health() *replicationHealth {
 	h := &replicationHealth{Factor: r.opts.Factor, DownPeers: r.det.DownPeers()}
-	s := r.s
-	s.mu.RLock()
-	batches := make(map[string]int, len(s.topics))
-	for name, tp := range s.topics {
-		batches[name] = tp.eng().Batches()
+	batches := make(map[string]int)
+	for _, tp := range r.s.served(nil) {
+		batches[tp.name] = tp.eng().Batches()
 	}
-	s.mu.RUnlock()
 	r.mu.Lock()
 	h.Replicas = len(r.replicas)
 	for name, cur := range batches {

@@ -82,13 +82,15 @@ type topic struct {
 	name    string
 	created time.Time
 
-	mu sync.Mutex // serializes Process + persistence + deletion
+	mu sync.Mutex // serializes Process + persistence + retirement
 	// engp holds the engine. All mutations happen under mu, but the
 	// pointer itself is atomic because the lock-free read plane loads
-	// it without mu while failJournalAppend may be swapping in an
-	// engine reloaded from disk (the rollback path). Access via eng().
-	engp    atomic.Pointer[triclust.Topic]
-	deleted bool // set under mu by deleteTopic; no save may follow
+	// it without mu while reloadEngine may be swapping in an engine
+	// rebuilt from disk. Access via eng().
+	engp atomic.Pointer[triclust.Topic]
+	// st is the topicState (see lifecycle.go): written only by
+	// transition under mu, loaded lock-free by the gates and healthz.
+	st atomic.Int32
 	// jw appends this topic's batch journal (nil before the first
 	// snapshot save, or when journaling is off); jRecords counts the
 	// records appended since the last snapshot. Both are guarded by mu.
@@ -99,16 +101,8 @@ type topic struct {
 	// it tells removeStale whether <name>.snap belongs to the currently
 	// registered topic or to a deleted earlier incarnation of the name.
 	saved bool
-	// degraded is set when the topic's last journal append failed (disk
-	// full, I/O error): the batch was refused with journal_write_failed
-	// and healthz reports the topic until an append or snapshot succeeds.
-	// Atomic so healthz can read it without the topic lock.
-	degraded atomic.Bool
-	// storage is the topic's disk-degraded state (stOK/stDegraded/
-	// stParked) and storFails its consecutive durable-write failure
-	// count; both driven by the storageMonitor (degrade.go). Atomic so
-	// the write gate and read plane check them without the topic lock.
-	storage   atomic.Int32
+	// storFails counts consecutive durable-write failures (see
+	// storageMonitor.noteFailure); atomic so healthz reads it lock-free.
 	storFails atomic.Int32
 	// feat caches the encoded /features response for the current read
 	// view's ETag (see readplane.go); lock-free like the view itself.
@@ -196,13 +190,8 @@ func newServer(dataDir string, opts serverOptions, logf func(format string, args
 		}
 	}
 	for name, rt := range restored {
-		// Journal replay (inside loadAll) ran without a conformance mode:
-		// recorded batches were already accepted once, so replay must
-		// redo them regardless of today's policy. The mode applies to new
-		// batches only, from here on.
-		rt.tp.SetConformanceMode(opts.conform)
-		tp := &topic{name: name, created: time.Now().UTC(), saved: true}
-		tp.engp.Store(rt.tp)
+		tp := s.newTopic(name, rt.tp)
+		tp.saved = true
 		s.topics[name] = tp
 		if rt.replayed > 0 {
 			s.logf("restored topic %q (%d batches, %d users; %d journal records replayed)",
@@ -307,9 +296,11 @@ type healthResponse struct {
 	// counter existed, quarantine was silent unless you listed the files.
 	Quarantined int            `json:"quarantined"`
 	Cluster     *clusterHealth `json:"cluster,omitempty"`
-	// Degraded lists topics whose last journal append failed: they are
-	// serving reads but refusing batches with journal_write_failed until
-	// the disk recovers. Non-empty flips Status to "degraded".
+	// Degraded lists topics not in the serving state (degraded, parked)
+	// or whose last durable write failed: a failed journal append (the
+	// batch was refused with journal_write_failed) or a failed snapshot
+	// save. A topic leaves the list at its next successful durable write
+	// or recovery. Non-empty flips Status to "degraded".
 	Degraded []string `json:"degraded,omitempty"`
 	// Replication reports the shard's replication state (factor, down
 	// peers, held replicas, per-follower shipping lag); absent when
@@ -337,21 +328,16 @@ type clusterHealth struct {
 }
 
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	topics := len(s.topics)
-	movedTopics := len(s.moved)
+	served := s.served(nil)
 	var degraded []string
-	served := make([]*topic, 0, len(s.topics))
-	for name, tp := range s.topics {
-		served = append(served, tp)
-		if tp.degraded.Load() {
-			degraded = append(degraded, name)
+	for _, tp := range served {
+		if tp.state() != stServing || tp.storFails.Load() > 0 {
+			degraded = append(degraded, tp.name)
 		}
 	}
-	s.mu.RUnlock()
 	resp := healthResponse{
 		Status:      "ok",
-		Topics:      topics,
+		Topics:      len(served),
 		ReadPlane:   s.readPlaneHealth(served),
 		Conformance: s.conformanceHealth(served),
 	}
@@ -370,6 +356,9 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if c := s.cluster; c != nil {
+		s.mu.RLock()
+		movedTopics := len(s.moved)
+		s.mu.RUnlock()
 		resp.Cluster = &clusterHealth{
 			Self:        c.self,
 			Peers:       c.ring.Peers(),
@@ -399,7 +388,7 @@ type topicOptions struct {
 }
 
 func (o topicOptions) onlineConfig() triclust.OnlineConfig {
-	cfg := triclust.DefaultStreamOptions().Config
+	cfg := triclust.DefaultOnlineConfig()
 	if o.K != 0 {
 		cfg.K = o.K
 	}
@@ -564,16 +553,7 @@ func (s *server) createTopic(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidConfig, err)
 		return
 	}
-	tr.SetConformanceMode(s.conform)
-	tp := &topic{name: req.Name, created: time.Now().UTC()}
-	tp.engp.Store(tr)
-	if !s.register(w, tp, 0) {
-		return
-	}
-	if !s.persistNew(w, tp) {
-		return
-	}
-	writeJSON(w, http.StatusCreated, tp.summary())
+	s.install(w, req.Name, tr)
 }
 
 // restoreTopic implements PUT /v1/topics/{topic}: the request body is a
@@ -612,16 +592,20 @@ func (s *server) restoreTopic(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, snapshotErrorCode(err), err)
 		return
 	}
-	tr.SetConformanceMode(s.conform)
-	tp := &topic{name: name, created: time.Now().UTC()}
-	tp.engp.Store(tr)
-	if !s.register(w, tp, tr.Epoch()) {
+	s.install(w, name, tr)
+}
+
+// install serves a freshly created or restored engine under name:
+// register it at the epoch it carries, persist it, answer 201.
+func (s *server) install(w http.ResponseWriter, name string, eng *triclust.Topic) {
+	tp := s.newTopic(name, eng)
+	if code, err := s.register(tp, eng.Epoch()); err != nil {
+		writeError(w, http.StatusConflict, code, err)
 		return
 	}
-	if !s.persistNew(w, tp) {
-		return
+	if s.persistNew(w, tp) {
+		writeJSON(w, http.StatusCreated, tp.summary())
 	}
-	writeJSON(w, http.StatusCreated, tp.summary())
 }
 
 // lockName acquires the per-name snapshot-file lock, creating it on
@@ -667,20 +651,22 @@ func (s *server) saveIfCurrent(tp *topic) (bool, error) {
 	}
 	l := s.lockName(tp.name)
 	defer s.unlockName(tp.name, l)
-	s.mu.RLock()
-	current := s.topics[tp.name] == tp
-	s.mu.RUnlock()
-	if !current {
+	if cur, _, _ := s.placement(tp.name); cur != tp {
 		return false, nil
 	}
 	crc, err := s.store.save(tp.name, tp.eng())
+	if err == nil || errors.Is(err, fault.ErrDirNotSynced) {
+		// The new snapshot is in place, even if its directory entry is
+		// not yet durable, so the journal must extend it from here on:
+		// a batch acked after a failed compaction replays onto it.
+		tp.saved = true
+		s.rotateJournal(tp, crc)
+	}
 	if err != nil {
 		s.storage.noteFailure(tp, err)
 		return true, err
 	}
 	s.storage.noteSuccess(tp)
-	tp.saved = true
-	s.rotateJournal(tp, crc)
 	return true, nil
 }
 
@@ -730,10 +716,7 @@ func (s *server) removeStale(name string) {
 	}
 	l := s.lockName(name)
 	defer s.unlockName(name, l)
-	s.mu.RLock()
-	cur := s.topics[name]
-	s.mu.RUnlock()
-	if cur == nil || !cur.saved {
+	if cur, _, _ := s.placement(name); cur == nil || !cur.saved {
 		s.store.remove(name)
 	}
 }
@@ -748,13 +731,7 @@ func (s *server) persistNew(w http.ResponseWriter, tp *topic) bool {
 	defer tp.mu.Unlock()
 	ok, err := s.saveIfCurrent(tp)
 	if err != nil {
-		s.mu.Lock()
-		// Unregister only if the entry is still this topic; the name may
-		// have been deleted and re-created concurrently.
-		if s.topics[tp.name] == tp {
-			delete(s.topics, tp.name)
-		}
-		s.mu.Unlock()
+		s.retire(tp)
 		// With this topic unregistered, any snapshot file left on disk
 		// belongs to an earlier, deleted incarnation of the name (the
 		// name was free when this topic registered): drop it so the
@@ -780,25 +757,14 @@ func (s *server) persistNew(w http.ResponseWriter, tp *topic) bool {
 	return true
 }
 
-// register installs a topic in the registry, writing the 409 response
-// itself when the name is taken or a tombstone fences the epoch (the
-// HTTP wrapper around tryRegister).
-func (s *server) register(w http.ResponseWriter, tp *topic, epoch uint64) bool {
-	if code, err := s.tryRegister(tp, epoch); err != nil {
-		writeError(w, http.StatusConflict, code, err)
-		return false
-	}
-	return true
-}
-
-// tryRegister installs a topic in the registry, failing with a stable
+// register installs a topic in the registry, failing with a stable
 // error code if the name is taken or if a hand-off tombstone fences the
 // topic's epoch. epoch is the ownership epoch the topic arrives with (0
 // for a fresh create): a shard that handed the topic away at epoch E
 // accepts it back only at a strictly greater epoch, so a stale pre-move
 // snapshot can never resurrect forked state. Registering at a valid
 // epoch clears the tombstone — the topic legitimately lives here again.
-func (s *server) tryRegister(tp *topic, epoch uint64) (string, error) {
+func (s *server) register(tp *topic, epoch uint64) (string, error) {
 	s.mu.Lock()
 	if mv, ok := s.moved[tp.name]; ok && epoch <= mv.Epoch {
 		s.mu.Unlock()
@@ -833,22 +799,38 @@ func (s *server) lookup(w http.ResponseWriter, r *http.Request) *topic {
 	if !s.routeTopic(w, r, name, nil) {
 		return nil
 	}
-	s.mu.RLock()
-	tp := s.topics[name]
-	s.mu.RUnlock()
+	tp, _, _ := s.placement(name)
 	if tp == nil {
 		writeError(w, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("unknown topic %q", name))
 	}
 	return tp
 }
 
-func (s *server) listTopics(w http.ResponseWriter, r *http.Request) {
+// placement returns what the registry knows of name: the topic served
+// here (nil if none) and the hand-off tombstone, if any.
+func (s *server) placement(name string) (tp *topic, mv cluster.Tombstone, moved bool) {
 	s.mu.RLock()
-	topics := make([]*topic, 0, len(s.topics))
+	defer s.mu.RUnlock()
+	mv, moved = s.moved[name]
+	return s.topics[name], mv, moved
+}
+
+// served returns the registered topics that keep accepts (nil keeps
+// all), in no particular order.
+func (s *server) served(keep func(*topic) bool) []*topic {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]*topic, 0, len(s.topics))
 	for _, tp := range s.topics {
-		topics = append(topics, tp)
+		if keep == nil || keep(tp) {
+			out = append(out, tp)
+		}
 	}
-	s.mu.RUnlock()
+	return out
+}
+
+func (s *server) listTopics(w http.ResponseWriter, r *http.Request) {
+	topics := s.served(nil)
 	out := make([]topicSummary, len(topics))
 	for i, tp := range topics {
 		out[i] = tp.summary()
@@ -869,15 +851,10 @@ func (s *server) deleteTopic(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("unknown topic %q", name))
 		return
 	}
-	// Mark the topic deleted under its own lock so an in-flight batch
-	// that already passed lookup cannot re-apply in memory afterwards,
-	// and release its journal handle.
+	// Retire the topic under its own lock so an in-flight batch that
+	// already passed lookup cannot re-apply in memory afterwards.
 	tp.mu.Lock()
-	tp.deleted = true
-	if tp.jw != nil {
-		tp.jw.Close()
-		tp.jw = nil
-	}
+	s.retire(tp)
 	tp.mu.Unlock()
 	// Remove the deleted topic's snapshot file. A save racing this
 	// delete re-checks the registry under the same per-name lock, so it
@@ -1004,10 +981,7 @@ func (s *server) processBatch(w http.ResponseWriter, r *http.Request) {
 		// lock. The topic is not gone — it lives on another shard now —
 		// so forward the client instead of reporting 404.
 		if code == codeTopicNotFound && s.cluster != nil {
-			s.mu.RLock()
-			mv, movedOK := s.moved[tp.name]
-			s.mu.RUnlock()
-			if movedOK {
+			if _, mv, movedOK := s.placement(tp.name); movedOK {
 				s.forward(w, r, mv.Target, sc.body.Bytes())
 				return
 			}
@@ -1091,7 +1065,7 @@ func writeBatchBinary(w http.ResponseWriter, sc *batchScratch, out *triclust.Str
 func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust.StreamResult, int, string, error) {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	if tp.deleted {
+	if tp.retired() {
 		return nil, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name)
 	}
 	// Fail fast while storage is degraded: the disk already proved it
@@ -1122,31 +1096,10 @@ func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust
 	// Flag-mode bookkeeping: an accepted batch whose verdict was flagged
 	// or quarantined still shows up in the healthz census.
 	tp.noteViolation(ts, out.Conformance)
-	if !out.Skipped && s.store != nil {
-		if tp.jw != nil {
-			batches, draws := tp.eng().StreamPos()
-			rec := journal.Record{Time: ts, Tweets: tweets, Batches: batches, RandDraws: draws}
-			frame, err := journal.EncodeFrame(&rec)
-			if err == nil {
-				err = tp.jw.AppendFrames(frame)
-			}
-			if err != nil {
-				return s.failJournalAppend(tp, err)
-			}
-			tp.degraded.Store(false)
-			s.storage.noteSuccess(tp)
-			tp.jRecords++
-			if tp.jRecords < s.store.opts.Every && tp.jw.Size() < s.store.opts.MaxBytes {
-				// The frame just fsynced locally ships to the followers
-				// before the ack — the same bytes, so they verify and store
-				// it without re-encoding.
-				if status, code, err := s.replShip(tp, frame, batches, draws, false); err != nil {
-					return nil, status, code, err
-				}
-				return out, 0, "", nil
-			}
-			// Compaction point: fold the journal into a fresh snapshot.
-		}
+	if out.Skipped || s.store == nil {
+		return out, 0, "", nil
+	}
+	if tp.jw == nil {
 		// Snapshot durability: the new state is persisted before the
 		// response is sent, so an acknowledged batch survives a restart.
 		ok, err := s.saveIfCurrent(tp)
@@ -1158,13 +1111,50 @@ func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust
 			return nil, http.StatusNotFound, codeTopicNotFound,
 				fmt.Errorf("topic %q was deleted", tp.name)
 		}
-		tp.degraded.Store(false)
-		// A compaction re-bases the followers too: ship the fresh snapshot
-		// so their replica journals restart as bounded tails (and so the
+		// The fresh snapshot is what the followers need too (so the
 		// snapshot-per-batch mode replicates at all).
 		if status, code, err := s.replShip(tp, nil, 0, 0, false); err != nil {
 			return nil, status, code, err
 		}
+		return out, 0, "", nil
+	}
+	batches, draws := tp.eng().StreamPos()
+	rec := journal.Record{Time: ts, Tweets: tweets, Batches: batches, RandDraws: draws}
+	frame, err := journal.EncodeFrame(&rec)
+	if err == nil {
+		err = tp.jw.AppendFrames(frame)
+	}
+	if err != nil {
+		return s.failJournalAppend(tp, err)
+	}
+	s.storage.noteSuccess(tp)
+	tp.jRecords++
+	if tp.jRecords >= s.store.opts.Every || tp.jw.Size() >= s.store.opts.MaxBytes {
+		// Compaction point: fold the journal into a fresh snapshot. The
+		// batch is already durable in the journal, so a failed compaction
+		// does not fail it: the journal stays, the next batch retries the
+		// compaction, and this frame ships incrementally like any other.
+		ok, err := s.saveIfCurrent(tp)
+		switch {
+		case err != nil:
+			s.logf("compaction of %q: %v (journal kept; the next batch retries)", tp.name, err)
+		case !ok:
+			return nil, http.StatusNotFound, codeTopicNotFound,
+				fmt.Errorf("topic %q was deleted", tp.name)
+		default:
+			// A compaction re-bases the followers too: ship the fresh
+			// snapshot so their replica journals restart as bounded tails.
+			if status, code, err := s.replShip(tp, nil, 0, 0, false); err != nil {
+				return nil, status, code, err
+			}
+			return out, 0, "", nil
+		}
+	}
+	// The frame just fsynced locally ships to the followers before the
+	// ack — the same bytes, so they verify and store it without
+	// re-encoding.
+	if status, code, err := s.replShip(tp, frame, batches, draws, false); err != nil {
+		return nil, status, code, err
 	}
 	return out, 0, "", nil
 }
@@ -1182,11 +1172,10 @@ func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust
 // anything disk vouches for and there is no trustworthy state to fall
 // back to: the topic is parked — reads and writes both refuse — until a
 // storage probe re-reads disk successfully. (File-level quarantine of
-// undecodable snapshots/journals already happens inside reloadTopic;
+// undecodable snapshots/journals already happens inside store.load;
 // parking covers the unreadable-disk case, where renaming files aside
 // could destroy a perfectly good snapshot over a transient read error.)
 func (s *server) failJournalAppend(tp *topic, cause error) (*triclust.StreamResult, int, string, error) {
-	tp.degraded.Store(true)
 	if terr := tp.jw.TruncateTail(); terr != nil {
 		// The tail could not even be truncated; close the writer so the
 		// next batch re-resolves durability (journal re-create, or the
@@ -1195,9 +1184,7 @@ func (s *server) failJournalAppend(tp *topic, cause error) (*triclust.StreamResu
 		tp.jw.Close()
 		tp.jw = nil
 	}
-	epoch := tp.eng().Epoch()
-	fresh, rerr := s.store.reloadTopic(tp.name, s.logf)
-	if rerr != nil {
+	if rerr := s.reloadEngine(tp); rerr != nil {
 		if tp.jw != nil {
 			tp.jw.Close()
 			tp.jw = nil
@@ -1206,9 +1193,6 @@ func (s *server) failJournalAppend(tp *topic, cause error) (*triclust.StreamResu
 		return nil, http.StatusServiceUnavailable, codeStorageDegraded,
 			fmt.Errorf("batch processed but not durable, and the rollback re-read failed (%v): %w", rerr, cause)
 	}
-	fresh.SetEpoch(epoch)
-	fresh.SetConformanceMode(s.conform)
-	tp.engp.Store(fresh)
 	s.storage.noteFailure(tp, cause)
 	return nil, http.StatusServiceUnavailable, codeJournalWriteFailed,
 		fmt.Errorf("batch processed but not durable: %w", cause)
@@ -1240,7 +1224,7 @@ func (s *server) warmupVocab(w http.ResponseWriter, r *http.Request) {
 	}
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	if tp.deleted {
+	if tp.retired() {
 		writeError(w, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name))
 		return
 	}
@@ -1343,17 +1327,11 @@ func (s *server) snapshotAll() error {
 	if s.store == nil {
 		return nil
 	}
-	s.mu.RLock()
-	topics := make([]*topic, 0, len(s.topics))
-	for _, tp := range s.topics {
-		topics = append(topics, tp)
-	}
-	s.mu.RUnlock()
 	var first error
-	for _, tp := range topics {
+	for _, tp := range s.served(nil) {
 		tp.mu.Lock()
 		var err error
-		if !tp.deleted {
+		if !tp.retired() {
 			_, err = s.saveIfCurrent(tp)
 		}
 		tp.mu.Unlock()
@@ -1414,6 +1392,6 @@ func appendJSON(dst []sentimentJSON, ss []triclust.Sentiment) []sentimentJSON {
 }
 
 // eng returns the topic's engine. Writers mutate the engine only under
-// tp.mu; the atomic load lets the lock-free read plane observe the
-// rollback swap in failJournalAppend without a lock.
+// tp.mu; the atomic load lets the lock-free read plane observe
+// reloadEngine's swap without a lock.
 func (tp *topic) eng() *triclust.Topic { return tp.engp.Load() }

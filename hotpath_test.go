@@ -21,7 +21,7 @@ func hotTopic(tb testing.TB, batchTweets int) (*triclust.Topic, func() []triclus
 	for i := range users {
 		users[i] = triclust.User{Name: fmt.Sprintf("u%d", i), Label: triclust.NoLabel}
 	}
-	cfg := triclust.DefaultStreamOptions().Config
+	cfg := triclust.DefaultOnlineConfig()
 	cfg.MaxIter = 3
 	tp, err := triclust.NewTopic(users, triclust.WithSolverConfig(cfg), triclust.WithMinDF(1))
 	if err != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -47,8 +48,8 @@ func TombstonePath(dir, topic string) string {
 	return filepath.Join(dir, topic+tombstoneSuffix)
 }
 
-// WriteTombstone atomically persists a hand-off marker (temp file +
-// rename, then directory-durable via the caller's dir sync if required).
+// WriteTombstone atomically and durably persists a hand-off marker
+// (fault.WriteFileAtomic: temp file, fsync, rename, directory fsync).
 // All syscalls go through fsys: the tombstone write is the hand-off's
 // fencing point, so its crash states are part of the fault matrix.
 func WriteTombstone(fsys fault.FS, dir, topic string, ts Tombstone) error {
@@ -59,23 +60,10 @@ func WriteTombstone(fsys fault.FS, dir, topic string, ts Tombstone) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := fsys.CreateTemp("tombstone.tmp", dir, topic+tombstoneSuffix+".tmp*")
-	if err != nil {
+	return fault.WriteFileAtomic(fsys, "tombstone", "tombstone.dirsync", TombstonePath(dir, topic), func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	defer fsys.Remove("tombstone.cleanup", tmp.Name())
-	if _, err := tmp.Write("tombstone.write", data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync("tombstone.sync"); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return fsys.Rename("tombstone.rename", tmp.Name(), TombstonePath(dir, topic))
+	})
 }
 
 // ReadTombstone loads a topic's hand-off marker. It returns os.ErrNotExist

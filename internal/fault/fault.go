@@ -19,8 +19,11 @@
 package fault
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // FS is the filesystem surface of the daemon's durable-write sites.
@@ -118,3 +121,43 @@ type siteWriter struct {
 }
 
 func (w siteWriter) Write(p []byte) (int, error) { return w.f.Write(w.site, p) }
+
+// ErrDirNotSynced marks a WriteFileAtomic failure that came after the
+// rename: path already names the new bytes, and only the directory fsync
+// that makes the rename survive a power failure failed.
+var ErrDirNotSynced = errors.New("fault: renamed into place but directory not synced")
+
+// WriteFileAtomic replaces path with the bytes write streams into it, so
+// a crash leaves the old file or the new one, never a torn mix: create a
+// temp file next to path, write, fsync, close, rename it over path, then
+// fsync the directory. The bytes are streamed, never buffered whole. Each
+// file step is a failpoint named area plus ".tmp", ".write", ".sync" or
+// ".rename", and the deferred temp-file removal is area+".cleanup". The
+// directory fsync is dirSite, which a caller shares with its other
+// syncs of the same directory.
+func WriteFileAtomic(fsys FS, area, dirSite, path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := fsys.CreateTemp(area+".tmp", dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer fsys.Remove(area+".cleanup", tmp.Name())
+	if err := write(SiteWriter(tmp, area+".write")); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(area + ".sync"); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := fsys.Rename(area+".rename", tmp.Name(), path); err != nil {
+		return err
+	}
+	if err := fsys.SyncDir(dirSite, dir); err != nil {
+		return fmt.Errorf("%w: %w", ErrDirNotSynced, err)
+	}
+	return nil
+}

@@ -22,9 +22,24 @@ func demoCorpus(t testing.TB, seed int64) *synth.Dataset {
 	return d
 }
 
+// offline wraps an offline solver configuration as a Topic option.
+func offline(cfg triclust.Config) triclust.Option {
+	return triclust.WithSolverConfig(triclust.OnlineConfig{Config: cfg})
+}
+
+// offlineFit runs Algorithm 1 on c with the paper's §5.1 configuration,
+// adjusted by opts (a later WithSolverConfig replaces it).
+func offlineFit(c *triclust.Corpus, opts ...triclust.Option) (*triclust.Result, error) {
+	tp, err := triclust.NewTopic(nil, append([]triclust.Option{offline(triclust.DefaultConfig())}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	return tp.FitCorpus(c)
+}
+
 func TestFitEndToEnd(t *testing.T) {
 	d := demoCorpus(t, 1)
-	res, err := triclust.Fit(d.Corpus, triclust.DefaultOptions())
+	res, err := offlineFit(d.Corpus)
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -59,7 +74,7 @@ func TestFitClassAlignment(t *testing.T) {
 	// With the lexicon prior, cluster ids align with Pos/Neg so that a
 	// tweet made of strong positive words lands in Pos.
 	d := demoCorpus(t, 2)
-	res, err := triclust.Fit(d.Corpus, triclust.DefaultOptions())
+	res, err := offlineFit(d.Corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +96,14 @@ func TestFitClassAlignment(t *testing.T) {
 }
 
 func TestFitNilAndInvalid(t *testing.T) {
-	if _, err := triclust.Fit(nil, triclust.DefaultOptions()); err == nil {
+	if _, err := offlineFit(nil); err == nil {
 		t.Fatal("expected error for nil corpus")
 	}
 	bad := &triclust.Corpus{
 		Users:  []triclust.User{{}},
 		Tweets: []triclust.Tweet{{User: 5, RetweetOf: -1}},
 	}
-	if _, err := triclust.Fit(bad, triclust.DefaultOptions()); err == nil {
+	if _, err := offlineFit(bad); err == nil {
 		t.Fatal("expected error for invalid corpus")
 	}
 }
@@ -103,10 +118,9 @@ func TestFitRawText(t *testing.T) {
 			{Text: "bad awful lies and fear", User: 1, RetweetOf: -1, Label: triclust.NoLabel},
 		},
 	}
-	opts := triclust.DefaultOptions()
-	opts.MinDF = 1
-	opts.Config.MaxIter = 30
-	res, err := triclust.Fit(c, opts)
+	cfg := triclust.DefaultConfig()
+	cfg.MaxIter = 30
+	res, err := offlineFit(c, offline(cfg), triclust.WithMinDF(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +138,7 @@ func TestFitRawText(t *testing.T) {
 
 func TestStreamProcess(t *testing.T) {
 	d := demoCorpus(t, 3)
-	st, err := triclust.NewStream(d.Corpus.Users, triclust.DefaultStreamOptions())
+	st, err := triclust.NewTopic(d.Corpus.Users)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +184,7 @@ func TestStreamProcess(t *testing.T) {
 }
 
 func TestStreamRejectsBadBatch(t *testing.T) {
-	st, err := triclust.NewStream([]triclust.User{{}}, triclust.DefaultStreamOptions())
+	st, err := triclust.NewTopic([]triclust.User{{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +217,12 @@ func TestInduceLexiconExported(t *testing.T) {
 
 func TestPredictTweetsFoldIn(t *testing.T) {
 	d := demoCorpus(t, 5)
-	opts := triclust.DefaultOptions()
 	// Seed the topic lexicon, as the paper seeds Sf0 from its
 	// automatically built "Yes"/"No" lists; without topic words the Neg
 	// cluster has no anchor in a synthetic corpus.
 	lex := d.PlantedLexicon(0.4, 0, 1)
 	lex.Merge(triclust.BuiltinLexicon())
-	opts.Lexicon = lex
-	res, err := triclust.Fit(d.Corpus, opts)
+	res, err := offlineFit(d.Corpus, triclust.WithLexicon(lex))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +246,7 @@ func TestPredictTweetsFoldIn(t *testing.T) {
 
 func TestPredictTweetsOOVIsGraceful(t *testing.T) {
 	d := demoCorpus(t, 6)
-	res, err := triclust.Fit(d.Corpus, triclust.DefaultOptions())
+	res, err := offlineFit(d.Corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +261,10 @@ func TestPredictTweetsOOVIsGraceful(t *testing.T) {
 
 func TestFitCustomOptionsRespected(t *testing.T) {
 	d := demoCorpus(t, 7)
-	opts := triclust.DefaultOptions()
-	opts.Config.K = 2
-	opts.Config.MaxIter = 8
-	opts.LexiconHit = 0.9
-	res, err := triclust.Fit(d.Corpus, opts)
+	cfg := triclust.DefaultConfig()
+	cfg.K = 2
+	cfg.MaxIter = 8
+	res, err := offlineFit(d.Corpus, offline(cfg), triclust.WithLexiconHit(0.9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +279,7 @@ func TestFitCustomOptionsRespected(t *testing.T) {
 }
 
 func TestStreamEmptyBatch(t *testing.T) {
-	st, err := triclust.NewStream([]triclust.User{{Name: "u"}}, triclust.DefaultStreamOptions())
+	st, err := triclust.NewTopic([]triclust.User{{Name: "u"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +314,8 @@ func TestStreamEmptyBatch(t *testing.T) {
 }
 
 func TestStreamZeroValueOptions(t *testing.T) {
-	// A zero StreamOptions must be filled with defaults, not crash.
-	st, err := triclust.NewStream([]triclust.User{{Name: "u"}}, triclust.StreamOptions{})
+	// A zero solver configuration must be filled with defaults, not crash.
+	st, err := triclust.NewTopic([]triclust.User{{Name: "u"}}, triclust.WithSolverConfig(triclust.OnlineConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
