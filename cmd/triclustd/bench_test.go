@@ -104,10 +104,11 @@ func benchBatch(day int) batchRequest {
 }
 
 // BenchmarkDaemonBatchPersist measures the full POST /batches path of a
-// durable daemon — solve plus persistence — in the two durability modes.
-// snapshot-every-batch rewrites the O(state) snapshot per batch (the
-// pre-journal behaviour); journal appends one O(batch) record and
-// compacts every 64 batches. Run with -benchtime 500x for the
+// durable daemon — solve plus persistence — at two compaction cadences.
+// snapshot-every-batch compacts after every batch (-journal-every 1: one
+// O(batch) journal record plus an O(state) snapshot rewrite per batch);
+// journal-amortized appends one O(batch) record and compacts every 64
+// batches. Run with -benchtime 500x for the
 // 500-batch-stream comparison recorded in ROADMAP.md.
 func BenchmarkDaemonBatchPersist(b *testing.B) {
 	run := func(b *testing.B, opts journalOptions) {
@@ -156,7 +157,7 @@ func BenchmarkReadsUnderIngest(b *testing.B) {
 	}
 	for _, v := range []variant{{"rcu-view", false}, {"topic-locked", true}} {
 		b.Run(v.name, func(b *testing.B) {
-			// Snapshot-every-batch durability: each batch holds the topic
+			// Compaction after every batch: each batch holds the topic
 			// lock across the solve AND the O(state) snapshot encode +
 			// fsync — the longest span the write path ever serializes —
 			// so the lock is held for most of the measurement window.

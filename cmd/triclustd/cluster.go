@@ -356,6 +356,7 @@ func (s *server) moveTopic(w http.ResponseWriter, r *http.Request) {
 
 	resp, status, code, err := s.performHandoff(tp, req.Target)
 	if err != nil {
+		s.retryAfter(w, code)
 		writeError(w, status, code, err)
 		return
 	}
@@ -377,17 +378,19 @@ func (s *server) performHandoff(tp *topic, target string) (moveResponse, int, st
 	if tp.retired() {
 		return moveResponse{}, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name)
 	}
+	if !tp.vouched() {
+		return moveResponse{}, http.StatusServiceUnavailable, codeStorageDegraded,
+			fmt.Errorf("topic %q is parked after a storage failure; retry the move after recovery", tp.name)
+	}
 	// Final compaction: fold the journal tail into one fresh snapshot so
 	// the exported state is the complete, settled history.
-	if s.store != nil {
-		ok, err := s.saveIfCurrent(tp)
-		if err != nil {
-			return moveResponse{}, http.StatusInternalServerError, codeStorage,
-				fmt.Errorf("final compaction before hand-off: %w", err)
-		}
-		if !ok {
-			return moveResponse{}, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name)
-		}
+	ok, err := s.saveIfCurrent(tp)
+	if err != nil {
+		return moveResponse{}, http.StatusInternalServerError, codeStorage,
+			fmt.Errorf("final compaction before hand-off: %w", err)
+	}
+	if !ok {
+		return moveResponse{}, http.StatusNotFound, codeTopicNotFound, fmt.Errorf("topic %q was deleted", tp.name)
 	}
 
 	oldEpoch := tp.eng().Epoch()

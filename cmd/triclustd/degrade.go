@@ -321,7 +321,6 @@ func (m *storageMonitor) recoverTopic(tp *topic) {
 		return
 	}
 	tp.transition(evSave)
-	tp.storFails.Store(0)
 	m.recoveries.Add(1)
 	if !ok {
 		return // deleted concurrently; nothing to ship

@@ -51,11 +51,11 @@ func TestRestoreUnsupportedSnapshotVersion(t *testing.T) {
 }
 
 // TestPersistenceFailureStorageError: when the data directory vanishes
-// under a running daemon (disk detached, path unlinked), the batch that
-// cannot be persisted is refused with storage_error.
+// under a running daemon (disk detached, path unlinked), a create whose
+// first snapshot cannot be persisted is refused with storage_error.
 func TestPersistenceFailureStorageError(t *testing.T) {
 	dir := t.TempDir()
-	_, srv := testServer(t, dir) // snapshot-every-batch: each batch must save
+	_, srv := testServer(t, dir)
 	client := srv.Client()
 	jtCreate(t, client, srv.URL)
 	jtFeed(t, client, srv.URL, 0, 2)
@@ -63,9 +63,11 @@ func TestPersistenceFailureStorageError(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics/"+journalTopicName+"/batches", jtBatch(2))
+	req := jtCreateReq()
+	req.Name = journalTopicName + "-2"
+	code, ec := errCode(t, client, "POST", srv.URL+"/v1/topics", req)
 	if code != http.StatusInternalServerError || ec != codeStorage {
-		t.Fatalf("batch without storage: %d %q, want 500 %q", code, ec, codeStorage)
+		t.Fatalf("create without storage: %d %q, want 500 %q", code, ec, codeStorage)
 	}
 }
 

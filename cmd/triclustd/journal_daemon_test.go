@@ -283,19 +283,20 @@ func TestDaemonJournalMaxBytesCompaction(t *testing.T) {
 }
 
 // TestDaemonJournalModeMigration drives the same data dir through
-// snapshot-per-batch and journal modes in both directions: plain
-// snapshot dirs load unchanged under journaling, and a journal-mode dir
-// (including its journal tail) loads correctly in snapshot mode.
+// compaction after every batch (-journal-every 1) and a long journal in
+// both directions: a dir compacted after every batch loads unchanged
+// under a long cadence, and a dir with a journal tail loads correctly
+// under -journal-every 1.
 func TestDaemonJournalModeMigration(t *testing.T) {
 	dir := t.TempDir()
 
-	// Plain snapshot-per-batch era.
+	// Compaction after every batch: the journal is always empty.
 	_, srvA := testServerOpts(t, dir, journalOptions{Every: 1})
 	jtCreate(t, srvA.Client(), srvA.URL)
 	jtFeed(t, srvA.Client(), srvA.URL, 0, 2)
 	srvA.Close()
 
-	// Upgrade to journal mode: the plain dir loads unchanged.
+	// A long cadence: the compacted dir loads unchanged.
 	_, srvB := testServerOpts(t, dir, journalOptions{Every: 100, MaxBytes: 1 << 40})
 	if sum := jtSummary(t, srvB.Client(), srvB.URL); sum.Batches != 2 {
 		t.Fatalf("after upgrade: %d batches, want 2", sum.Batches)
@@ -303,7 +304,7 @@ func TestDaemonJournalModeMigration(t *testing.T) {
 	jtFeed(t, srvB.Client(), srvB.URL, 2, 4)
 	srvB.Close()
 
-	// Roll back to snapshot mode: the journal tail must still be
+	// Back to -journal-every 1: the journal tail must still be
 	// replayed, not dropped.
 	_, srvC := testServerOpts(t, dir, journalOptions{Every: 1})
 	if sum := jtSummary(t, srvC.Client(), srvC.URL); sum.Batches != 4 {

@@ -73,6 +73,15 @@ func (tp *topic) state() topicState { return topicState(tp.st.Load()) }
 // still holds a reference to it may apply or persist anything.
 func (tp *topic) retired() bool { return tp.state() == stRetired }
 
+// vouched reports that the topic's engine holds only state disk vouches
+// for: it is serving or degraded. A parked engine may hold a batch that
+// was refused and never made durable, so it is never saved, moved or
+// shipped; a retired topic is out of service.
+func (tp *topic) vouched() bool {
+	st := tp.state()
+	return st == stServing || st == stDegraded
+}
+
 // newTopic wraps an engine as a served topic, stamped with this shard's
 // conformance mode. Restored and replayed engines carry no mode (replay
 // must redo recorded batches whatever today's policy), so the mode

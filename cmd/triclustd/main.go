@@ -52,9 +52,10 @@
 // journal tail through the same deterministic pipeline, verifying each
 // record's post-batch fingerprint — recovered state is bit-identical to
 // the pre-crash stream. A torn final record (crash mid-append) is
-// truncated: it was never acknowledged. -journal-every 1 restores the
-// plain snapshot-per-batch mode; data dirs written by either mode (or by
-// older snapshot-only builds) load unchanged.
+// truncated: it was never acknowledged. A topic with no open journal
+// compacts before it applies a batch (503 journal_write_failed if that
+// fails); -journal-every 1 compacts after every batch. Snapshot-only
+// data dirs from older builds load unchanged.
 //
 // The first non-empty batch of a topic freezes its vocabulary (the online
 // algorithm requires comparable feature spaces across snapshots) unless a
@@ -142,7 +143,7 @@ func main() {
 	procs := flag.Int("procs", runtime.GOMAXPROCS(0), "parallelism width of the compute kernels")
 	dataDir := flag.String("data-dir", "", "directory for durable topic snapshots (empty: in-memory only)")
 	journalEvery := flag.Int("journal-every", 64,
-		"rewrite a topic's full snapshot every N batches, journaling the batches in between (1: snapshot every batch)")
+		"compact a topic's journal into a full snapshot every N batches (1: after every batch)")
 	journalMaxBytes := flag.Int64("journal-max-bytes", 8<<20,
 		"also compact a topic's journal into a snapshot when it exceeds this size")
 	maxBody := flag.Int64("max-body-bytes", 0,

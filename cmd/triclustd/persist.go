@@ -30,10 +30,11 @@ func validTopicName(name string) error {
 	return nil
 }
 
-// journalOptions configure amortized durability: with Every > 1 the
-// daemon appends one O(batch) journal record per batch and rewrites the
-// O(state) snapshot only every Every batches — or sooner when the journal
-// outgrows MaxBytes. Every <= 1 restores snapshot-on-every-batch.
+// journalOptions configure amortized durability: every batch becomes
+// durable as one fsynced O(batch) journal record, and the O(state)
+// snapshot is rewritten (compacting the journal) every Every batches —
+// or sooner when the journal outgrows MaxBytes. Every <= 1 compacts
+// after every batch.
 type journalOptions struct {
 	Every    int
 	MaxBytes int64
@@ -73,11 +74,6 @@ func newStore(dir string, opts journalOptions, fsys fault.FS) (*store, error) {
 		return nil, fmt.Errorf("create data dir: %w", err)
 	}
 	return &store{dir: dir, opts: opts, fs: fsys}, nil
-}
-
-// journaling reports whether the amortized journal mode is on.
-func (st *store) journaling() bool {
-	return st != nil && st.opts.Every > 1
 }
 
 func (st *store) path(name string) string {

@@ -393,13 +393,12 @@ func (r *replicator) resyncLoop() {
 			continue
 		}
 		tp.mu.Lock()
-		if !tp.retired() {
-			// Full re-ship to the followers that fell behind; errors mark
-			// them unsynced again and re-queue (unless the follower is now
-			// declared down — then the peer-up sweep owns the re-queue).
-			if _, _, err := s.replShip(tp, nil, 0, 0, true); err != nil {
-				s.logf("resync %q: %v", name, err)
-			}
+		// Full re-ship to the followers that fell behind; errors mark
+		// them unsynced again and re-queue (unless the follower is now
+		// declared down — then the peer-up sweep owns the re-queue). A
+		// parked or retired topic ships nothing (see replShip).
+		if _, _, err := s.replShip(tp, nil, 0, 0, true); err != nil {
+			s.logf("resync %q: %v", name, err)
 		}
 		tp.mu.Unlock()
 		// A topic that re-queued itself during the ship failed to converge
@@ -512,10 +511,11 @@ func (r *replicator) postOnce(peer, name string, frame []byte) (replAck, *shipEr
 // zombie (a follower answered epoch_mismatch): the topic is fenced
 // locally and the caller must fail the client's request with 409. Every
 // other failure degrades: the follower is marked out-of-sync, a resync is
-// queued, and the batch acks with fewer live copies.
+// queued, and the batch acks with fewer live copies. A topic that is not
+// vouched (see lifecycle.go) ships nothing.
 func (s *server) replShip(tp *topic, frame []byte, batches int, draws uint64, async bool) (int, string, error) {
 	r := s.repl
-	if r == nil || tp.retired() {
+	if r == nil || !tp.vouched() {
 		return 0, "", nil
 	}
 	peers := r.followerPeers(tp.name)

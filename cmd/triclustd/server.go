@@ -91,9 +91,9 @@ type topic struct {
 	// st is the topicState (see lifecycle.go): written only by
 	// transition under mu, loaded lock-free by the gates and healthz.
 	st atomic.Int32
-	// jw appends this topic's batch journal (nil before the first
-	// snapshot save, or when journaling is off); jRecords counts the
-	// records appended since the last snapshot. Both are guarded by mu.
+	// jw appends this topic's batch journal (nil: the next batch compacts
+	// before it is applied); jRecords counts the records appended since
+	// the last snapshot. Both are guarded by mu.
 	jw       *journal.Writer
 	jRecords int
 	// saved reports that a snapshot of this topic instance is on disk.
@@ -642,9 +642,9 @@ func (s *server) unlockName(name string, l *nameLock) {
 // order here and in every other path is tp.mu → name lock → s.mu; every
 // caller holds tp.mu, which also guards the journal rotation.
 //
-// A successful snapshot save is a compaction point: the journal is
-// truncated and re-headed with the new snapshot's identity, so recovery
-// cost is bounded by the records since the last snapshot.
+// A save is a compaction: a snapshot plus a journal re-headed to extend
+// it, so recovery cost is bounded by the records since the snapshot. A
+// journal that cannot be rotated or created fails the save.
 func (s *server) saveIfCurrent(tp *topic) (bool, error) {
 	if s.store == nil {
 		return true, nil
@@ -660,7 +660,7 @@ func (s *server) saveIfCurrent(tp *topic) (bool, error) {
 		// not yet durable, so the journal must extend it from here on:
 		// a batch acked after a failed compaction replays onto it.
 		tp.saved = true
-		s.rotateJournal(tp, crc)
+		err = errors.Join(err, s.rotateJournal(tp, crc))
 	}
 	if err != nil {
 		s.storage.noteFailure(tp, err)
@@ -673,34 +673,29 @@ func (s *server) saveIfCurrent(tp *topic) (bool, error) {
 // rotateJournal starts a fresh journal extending the snapshot just
 // written. An open journal rotates in place on its own descriptor (the
 // hand-off/compaction hook, journal.Writer.Rotate); otherwise a new file
-// is created. On failure the daemon degrades to snapshot-on-every-batch
-// for this topic (jw stays nil) instead of serving without durability.
-// Called with tp.mu and the per-name lock held.
-func (s *server) rotateJournal(tp *topic, snapCRC uint32) {
-	if !s.store.journaling() {
-		return
-	}
+// is created. On failure jw is nil. Called with tp.mu and the per-name
+// lock held.
+func (s *server) rotateJournal(tp *topic, snapCRC uint32) error {
 	tp.jRecords = 0
 	if tp.jw != nil {
-		if err := tp.jw.Rotate(snapCRC); err == nil {
-			return
-		} else {
-			s.logf("journal rotate %q: %v (recreating)", tp.name, err)
-			tp.jw.Close()
-			tp.jw = nil
+		err := tp.jw.Rotate(snapCRC)
+		if err == nil {
+			return nil
 		}
+		s.logf("journal rotate %q: %v (recreating)", tp.name, err)
+		tp.jw.Close()
+		tp.jw = nil
 	}
 	jw, err := journal.Create(s.store.fs, s.store.journalPath(tp.name), snapCRC)
 	if err != nil {
-		s.logf("journal create %q: %v (falling back to snapshot-per-batch)", tp.name, err)
-		return
+		return fmt.Errorf("journal create: %w", err)
 	}
 	if err := s.store.syncDir(); err != nil {
-		s.logf("journal dir sync %q: %v (falling back to snapshot-per-batch)", tp.name, err)
 		jw.Close()
-		return
+		return fmt.Errorf("journal dir sync: %w", err)
 	}
 	tp.jw = jw
+	return nil
 }
 
 // removeStale deletes <name>.snap unless the file belongs to the
@@ -1057,11 +1052,10 @@ func writeBatchBinary(w http.ResponseWriter, sc *batchScratch, out *triclust.Str
 // on it) forever; response writing happens in the caller, off the lock,
 // so a slow client cannot stall the topic either.
 //
-// Durability before acknowledgement, two ways: with journaling on, the
-// batch delta is fsync-appended to the topic's journal — O(batch) bytes —
-// and the O(state) snapshot is rewritten only at compaction points
-// (every -journal-every batches, or when the journal exceeds
-// -journal-max-bytes); otherwise every batch rewrites the snapshot.
+// Durability before acknowledgement: the batch delta is fsync-appended
+// to the journal that extends the topic's on-disk snapshot — O(batch)
+// bytes — and the O(state) snapshot is rewritten only at compaction
+// points (every -journal-every batches, or past -journal-max-bytes).
 func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust.StreamResult, int, string, error) {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
@@ -1077,6 +1071,20 @@ func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust
 	if last, ok := tp.eng().LastTime(); ok && len(tweets) > 0 && ts <= last {
 		return nil, http.StatusConflict, codeStaleTimestamp,
 			fmt.Errorf("time %d not after last processed %d", ts, last)
+	}
+	if tp.jw == nil && len(tweets) > 0 && s.store != nil {
+		// No journal extends the snapshot: compact first, before the
+		// engine moves, so a refusal is safe to retry. Followers need no
+		// ship: incremental frames name each follower's own base.
+		ok, err := s.saveIfCurrent(tp)
+		if err != nil {
+			return nil, http.StatusServiceUnavailable, codeJournalWriteFailed,
+				fmt.Errorf("batch refused: no journal could be started: %w", err)
+		}
+		if !ok {
+			return nil, http.StatusNotFound, codeTopicNotFound,
+				fmt.Errorf("topic %q was deleted", tp.name)
+		}
 	}
 	out, err := tp.eng().Process(ts, tweets)
 	if err != nil {
@@ -1097,25 +1105,6 @@ func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust
 	// or quarantined still shows up in the healthz census.
 	tp.noteViolation(ts, out.Conformance)
 	if out.Skipped || s.store == nil {
-		return out, 0, "", nil
-	}
-	if tp.jw == nil {
-		// Snapshot durability: the new state is persisted before the
-		// response is sent, so an acknowledged batch survives a restart.
-		ok, err := s.saveIfCurrent(tp)
-		if err != nil {
-			return nil, http.StatusInternalServerError, codeStorage,
-				fmt.Errorf("batch applied in memory but snapshot not persisted: %w", err)
-		}
-		if !ok {
-			return nil, http.StatusNotFound, codeTopicNotFound,
-				fmt.Errorf("topic %q was deleted", tp.name)
-		}
-		// The fresh snapshot is what the followers need too (so the
-		// snapshot-per-batch mode replicates at all).
-		if status, code, err := s.replShip(tp, nil, 0, 0, false); err != nil {
-			return nil, status, code, err
-		}
 		return out, 0, "", nil
 	}
 	batches, draws := tp.eng().StreamPos()
@@ -1178,8 +1167,8 @@ func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust
 func (s *server) failJournalAppend(tp *topic, cause error) (*triclust.StreamResult, int, string, error) {
 	if terr := tp.jw.TruncateTail(); terr != nil {
 		// The tail could not even be truncated; close the writer so the
-		// next batch re-resolves durability (journal re-create, or the
-		// snapshot path) instead of appending after an ambiguous tail.
+		// next batch compacts and starts a fresh journal instead of
+		// appending after an ambiguous tail.
 		s.logf("journal truncate %q after failed append: %v", tp.name, terr)
 		tp.jw.Close()
 		tp.jw = nil
@@ -1324,15 +1313,14 @@ func marshalFeatures(tp *topic, v triclust.ReadView) ([]byte, error) {
 // snapshotAll persists every topic (used for the final snapshot during
 // graceful shutdown). It reports the first error but keeps going.
 func (s *server) snapshotAll() error {
-	if s.store == nil {
-		return nil
-	}
 	var first error
 	for _, tp := range s.served(nil) {
 		tp.mu.Lock()
 		var err error
-		if !tp.retired() {
+		if tp.vouched() {
 			_, err = s.saveIfCurrent(tp)
+		} else if !tp.retired() {
+			s.logf("final snapshot %q skipped: the topic is parked, disk holds its last durable state", tp.name)
 		}
 		tp.mu.Unlock()
 		if err != nil {

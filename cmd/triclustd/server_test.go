@@ -17,8 +17,9 @@ import (
 	"triclust/internal/synth"
 )
 
-// testServer runs a daemon in the legacy snapshot-every-batch mode; the
-// journal-mode tests in journal_daemon_test.go use testServerOpts.
+// testServer runs a daemon that compacts after every batch
+// (-journal-every 1); the tests in journal_daemon_test.go that need a
+// longer journal use testServerOpts.
 func testServer(t *testing.T, dataDir string) (*server, *httptest.Server) {
 	return testServerOpts(t, dataDir, journalOptions{Every: 1})
 }
