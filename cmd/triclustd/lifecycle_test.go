@@ -112,6 +112,63 @@ func TestCompactionFailureAcksDurableBatch(t *testing.T) {
 	}
 }
 
+// TestRepeatedCompactionFailureDegrades: a compaction that fails on every
+// batch behind a journal that keeps appending must still count toward
+// -degrade-after — each batch is acked (its record is durable), but once
+// that many consecutive compactions have failed the topic degrades and
+// refuses writes instead of growing the journal without bound, and the
+// storage probe recovers it once the disk heals.
+func TestRepeatedCompactionFailureDegrades(t *testing.T) {
+	const degradeAfter = 3
+	script := fault.NewScript()
+	s, hs := faultServer(t, script, journalOptions{Every: 2, MaxBytes: 1 << 40},
+		storageOptions{DegradeAfter: degradeAfter, ProbeInterval: 20 * time.Millisecond})
+	client := hs.Client()
+	const name = "compactfail"
+	if code, ec := errCode(t, client, "POST", hs.URL+"/v1/topics", degradeCreateReq(name)); code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, ec)
+	}
+	// Hit 1 of persist.snap.sync was the create's snapshot; every later
+	// one — each compaction and each probe save — fails.
+	script.AddRule(fault.Rule{Site: "persist.snap.sync", Err: errors.New("injected snapshot fsync failure")})
+
+	// Batch 1 only appends; batches 2..degradeAfter+1 each land on a
+	// compaction point (the failed compaction leaves the journal in
+	// place, so every later batch retries it) and are acked.
+	batchURL := hs.URL + "/v1/topics/" + name + "/batches"
+	day := 1
+	for ; day <= degradeAfter+1; day++ {
+		if code, ec := errCode(t, client, "POST", batchURL, degradeBatch(day)); code != http.StatusOK {
+			t.Fatalf("batch %d: %d %s, want 200", day, code, ec)
+		}
+	}
+	// (The probe may already have added failed saves of its own.)
+	if got := script.Hits("persist.snap.sync"); got < 1+degradeAfter {
+		t.Fatalf("persist.snap.sync crossed %d times, want at least %d (one create, %d failed compactions)", got, 1+degradeAfter, degradeAfter)
+	}
+	hr := awaitStorageState(t, client, hs.URL, "degraded")
+	if len(hr.Storage.Degraded) != 1 || hr.Storage.Degraded[0] != name {
+		t.Fatalf("healthz degraded topics = %v, want [%s]", hr.Storage.Degraded, name)
+	}
+	if code, ec := errCode(t, client, "POST", batchURL, degradeBatch(day)); code != http.StatusServiceUnavailable || ec != codeStorageDegraded {
+		t.Fatalf("batch %d after %d failed compactions: %d %s, want 503 %s", day, degradeAfter, code, ec, codeStorageDegraded)
+	}
+
+	script.ClearRules()
+	awaitStorageState(t, client, hs.URL, "ok")
+	if code, ec := errCode(t, client, "POST", batchURL, degradeBatch(day)); code != http.StatusOK {
+		t.Fatalf("batch %d after recovery: %d %s, want 200", day, code, ec)
+	}
+	s2, err := newServer(s.store.dir, serverOptions{journal: defaultJournalOpts()}, t.Logf)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer s2.Close()
+	if got := servedBatches(s2, name); got != day {
+		t.Fatalf("restart serves %d batches, want %d", got, day)
+	}
+}
+
 // TestResumedMoveRetargetSyncsDir: resuming an interrupted hand-off
 // against a different target re-points the tombstone, and the re-pointed
 // tombstone must be directory-durable like the first one.

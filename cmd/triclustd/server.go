@@ -886,6 +886,19 @@ type batchScratch struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
+// maxPooledBody is the largest request body whose scratch goes back to
+// batchPool. Every buffer of a scratch grows to its largest batch, so
+// one bulk batch (a backfill of every user) would otherwise pin its
+// megabytes in the pool while the stream goes on in kilobyte batches.
+const maxPooledBody = 1 << 20
+
+// release returns sc to batchPool unless a large batch grew it.
+func (sc *batchScratch) release() {
+	if sc.body.Cap() <= maxPooledBody {
+		batchPool.Put(sc)
+	}
+}
+
 // reset clears every field a previous request may have left behind.
 // encoding/json merges into existing slice elements, so stale tweetSpec
 // fields (pointers especially) must be zeroed up to capacity.
@@ -922,7 +935,7 @@ func (s *server) processBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(sc)
+	defer sc.release()
 	sc.reset()
 	if _, err := sc.body.ReadFrom(r.Body); err != nil {
 		status, code := requestErrorStatus(err)
@@ -1116,13 +1129,18 @@ func (s *server) runBatch(tp *topic, ts int, tweets []triclust.Tweet) (*triclust
 	if err != nil {
 		return s.failJournalAppend(tp, err)
 	}
-	s.storage.noteSuccess(tp)
 	tp.jRecords++
-	if tp.jRecords >= s.store.opts.Every || tp.jw.Size() >= s.store.opts.MaxBytes {
+	if tp.jRecords < s.store.opts.Every && tp.jw.Size() < s.store.opts.MaxBytes {
+		s.storage.noteSuccess(tp)
+	} else {
 		// Compaction point: fold the journal into a fresh snapshot. The
 		// batch is already durable in the journal, so a failed compaction
 		// does not fail it: the journal stays, the next batch retries the
 		// compaction, and this frame ships incrementally like any other.
+		// The compaction's outcome, not the append's, is what counts
+		// toward -degrade-after (saveIfCurrent notes it), so a compaction
+		// that fails on every batch degrades the topic instead of letting
+		// the journal grow past -journal-max-bytes without bound.
 		ok, err := s.saveIfCurrent(tp)
 		switch {
 		case err != nil:

@@ -120,6 +120,27 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 	}
 }
 
+// TestGoldenSnapshotBytesStable pins the encoder to the format's exact
+// layout: the golden fixture, restored and snapshotted again, must come
+// back byte for byte.
+func TestGoldenSnapshotBytesStable(t *testing.T) {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("read golden fixture: %v", err)
+	}
+	tp, err := triclust.Restore(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("restore golden fixture: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := tp.Snapshot(&buf); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatalf("re-snapshot of the golden fixture differs: %d bytes, fixture %d", buf.Len(), len(data))
+	}
+}
+
 // TestLegacySnapshotRejectedByVersion pins the compatibility story for
 // pre-SplitMix64 snapshots: their recorded random-stream position belongs
 // to a different generator, so they must be turned away with a

@@ -38,6 +38,7 @@
 package codec
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -104,70 +105,109 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // silently continuing a stream with different random values.
 const rngSplitMix64 = 1
 
-// Encode writes st as a versioned binary snapshot to w.
+// Encode writes st as a versioned binary snapshot to w. It streams: a
+// counting pass sizes every section (the header and each section carry
+// their length up front), then the sections are encoded once more
+// through one bufio.Writer whose flushes feed the CRC-32C, so the
+// payload is never held in memory whole.
 func Encode(w io.Writer, st *engine.State) error {
 	if st == nil {
 		return errors.New("codec: nil state")
 	}
-	var payload bytes.Buffer
-	enc := &encoder{w: &payload}
-	enc.section(tagConfig, func(e *encoder) { e.config(st.Config, st) })
-	enc.section(tagLexicon, func(e *encoder) { e.stringIntMap(st.Lexicon) })
-	enc.section(tagVocab, func(e *encoder) {
-		e.bool(st.Frozen)
-		e.stringSlice(st.VocabWords)
-		e.dense(st.Sf0)
-		e.stringIntMap(st.VocabCounts)
-		e.uint(uint64(st.VocabDocs))
-	})
-	enc.section(tagUsers, func(e *encoder) {
-		e.uint(uint64(len(st.Users)))
-		for _, u := range st.Users {
-			e.string(u.Name)
-			e.int(int64(u.Label))
+	secs := sections(st)
+	count := &encoder{}
+	payload := int64(1) // tagEnd
+	for i := range secs {
+		start := count.n
+		secs[i].body(count)
+		secs[i].size = count.n - start
+		payload += 1 + 8 + secs[i].size
+	}
+
+	var hdr [18]byte
+	copy(hdr[:8], magic[:])
+	binary.LittleEndian.PutUint16(hdr[8:10], Version)
+	binary.LittleEndian.PutUint64(hdr[10:18], uint64(payload))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	var crc uint32
+	bw := bufio.NewWriterSize(&crcTee{w: w, crc: &crc}, 64<<10)
+	enc := &encoder{w: bw}
+	for _, sec := range secs {
+		enc.byte(sec.tag)
+		enc.uint(uint64(sec.size))
+		start := enc.n
+		sec.body(enc)
+		if enc.err == nil && enc.n-start != sec.size {
+			return fmt.Errorf("codec: section %d encoded to %d bytes, sized at %d", sec.tag, enc.n-start, sec.size)
 		}
-	})
-	enc.section(tagCounter, func(e *encoder) {
-		e.uint(uint64(st.Batches))
-		e.uint(uint64(st.Skips))
-	})
-	enc.section(tagOnline, func(e *encoder) { e.online(st.Online) })
+	}
+	enc.byte(tagEnd)
+	if enc.err != nil {
+		return enc.err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	var trailer [4]byte
+	binary.LittleEndian.PutUint32(trailer[:], crc)
+	_, err := w.Write(trailer[:])
+	return err
+}
+
+// section is one tagged payload section; body must write the same bytes
+// every time it runs (Encode runs it twice: to size it, then to write it).
+type section struct {
+	tag  byte
+	body func(*encoder)
+	size int64
+}
+
+// sections lists st's payload sections in format order.
+func sections(st *engine.State) []section {
+	secs := []section{
+		{tag: tagConfig, body: func(e *encoder) { e.config(st.Config, st) }},
+		{tag: tagLexicon, body: func(e *encoder) { e.stringIntMap(st.Lexicon) }},
+		{tag: tagVocab, body: func(e *encoder) {
+			e.bool(st.Frozen)
+			e.stringSlice(st.VocabWords)
+			e.dense(st.Sf0)
+			e.stringIntMap(st.VocabCounts)
+			e.uint(uint64(st.VocabDocs))
+		}},
+		{tag: tagUsers, body: func(e *encoder) {
+			e.uint(uint64(len(st.Users)))
+			for _, u := range st.Users {
+				e.string(u.Name)
+				e.int(int64(u.Label))
+			}
+		}},
+		{tag: tagCounter, body: func(e *encoder) {
+			e.uint(uint64(st.Batches))
+			e.uint(uint64(st.Skips))
+		}},
+		{tag: tagOnline, body: func(e *encoder) { e.online(st.Online) }},
+	}
 	if st.LastFactors != nil {
-		enc.section(tagFactors, func(e *encoder) { e.factors(st.LastFactors) })
+		secs = append(secs, section{tag: tagFactors, body: func(e *encoder) { e.factors(st.LastFactors) }})
 	}
 	// The ownership epoch is written only when set, so snapshots of
 	// never-moved topics stay byte-identical to pre-cluster builds (and to
 	// the golden fixture). Determinism holds either way: equal states make
 	// equal include-or-omit decisions.
 	if st.Epoch != 0 {
-		enc.section(tagEpoch, func(e *encoder) { e.uint(st.Epoch) })
+		secs = append(secs, section{tag: tagEpoch, body: func(e *encoder) { e.uint(st.Epoch) }})
 	}
 	// Same rule for the conformance profile: an empty default profile is
 	// omitted, so pre-conformance snapshots and snapshots of fresh topics
 	// keep their exact bytes. The profile owns its wire format (versioned
 	// separately inside the section body, see internal/conform/wire.go).
 	if st.Conform != nil && !st.Conform.IsZero() {
-		enc.section(tagConform, func(e *encoder) { e.write(st.Conform.AppendBinary(nil)) })
+		prof := st.Conform.AppendBinary(nil)
+		secs = append(secs, section{tag: tagConform, body: func(e *encoder) { e.write(prof) }})
 	}
-	enc.byte(tagEnd)
-	if enc.err != nil {
-		return enc.err
-	}
-
-	var hdr [18]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint16(hdr[8:10], Version)
-	binary.LittleEndian.PutUint64(hdr[10:18], uint64(payload.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), castagnoli))
-	_, err := w.Write(crc[:])
-	return err
+	return secs
 }
 
 // Decode reads one snapshot from r and reconstructs the engine state. The
@@ -277,18 +317,27 @@ func Decode(r io.Reader) (*engine.State, error) {
 
 // ——— encoder ———
 
+// encoder writes the format's primitives to w, or only counts their
+// bytes when w is nil (Encode's sizing pass). Fixed-width fields go
+// through the scratch array, so encoding allocates nothing per field.
 type encoder struct {
-	w   io.Writer
-	err error
+	w       io.Writer
+	n       int64 // bytes written (or counted) so far
+	err     error
+	scratch [8]byte
 }
 
 func (e *encoder) write(p []byte) {
-	if e.err == nil {
+	e.n += int64(len(p))
+	if e.w != nil && e.err == nil {
 		_, e.err = e.w.Write(p)
 	}
 }
 
-func (e *encoder) byte(b byte) { e.write([]byte{b}) }
+func (e *encoder) byte(b byte) {
+	e.scratch[0] = b
+	e.write(e.scratch[:1])
+}
 
 func (e *encoder) bool(b bool) {
 	if b {
@@ -299,9 +348,8 @@ func (e *encoder) bool(b bool) {
 }
 
 func (e *encoder) uint(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	e.write(buf[:])
+	binary.LittleEndian.PutUint64(e.scratch[:], v)
+	e.write(e.scratch[:])
 }
 
 func (e *encoder) int(v int64) { e.uint(uint64(v)) }
@@ -310,7 +358,10 @@ func (e *encoder) float(v float64) { e.uint(math.Float64bits(v)) }
 
 func (e *encoder) string(s string) {
 	e.uint(uint64(len(s)))
-	e.write([]byte(s))
+	e.n += int64(len(s))
+	if e.w != nil && e.err == nil {
+		_, e.err = io.WriteString(e.w, s)
+	}
 }
 
 func (e *encoder) stringSlice(ss []string) {
@@ -368,23 +419,6 @@ func (e *encoder) dense(m *mat.Dense) {
 	}
 }
 
-// section buffers a tagged body so its length prefix can be written first.
-func (e *encoder) section(tag byte, body func(*encoder)) {
-	if e.err != nil {
-		return
-	}
-	var buf bytes.Buffer
-	sub := &encoder{w: &buf}
-	body(sub)
-	if sub.err != nil {
-		e.err = sub.err
-		return
-	}
-	e.byte(tag)
-	e.uint(uint64(buf.Len()))
-	e.write(buf.Bytes())
-}
-
 func (e *encoder) config(c core.OnlineConfig, st *engine.State) {
 	e.uint(uint64(c.K))
 	e.float(c.Alpha)
@@ -412,6 +446,9 @@ func (e *encoder) config(c core.OnlineConfig, st *engine.State) {
 	e.bool(tok.Stem)
 }
 
+// online writes the solver state. The user history goes out as one
+// record per user — id, row count, rows — in the state's order, which
+// ExportState makes ascending by id.
 func (e *encoder) online(o *core.OnlineState) {
 	if o == nil {
 		e.bool(false)
@@ -428,20 +465,25 @@ func (e *encoder) online(o *core.OnlineState) {
 		e.dense(s.Sf)
 		e.bools(s.Seen)
 	}
-	gids := make([]int, 0, len(o.UserHist))
-	for g := range o.UserHist {
-		gids = append(gids, g)
+	users := 0
+	for i, h := range o.UserHist {
+		if i == 0 || h.User != o.UserHist[i-1].User {
+			users++
+		}
 	}
-	sort.Ints(gids)
-	e.uint(uint64(len(gids)))
-	for _, g := range gids {
-		e.int(int64(g))
-		hist := o.UserHist[g]
-		e.uint(uint64(len(hist)))
-		for _, h := range hist {
+	e.uint(uint64(users))
+	for hist := o.UserHist; len(hist) > 0; {
+		n := 1
+		for n < len(hist) && hist[n].User == hist[0].User {
+			n++
+		}
+		e.int(int64(hist[0].User))
+		e.uint(uint64(n))
+		for _, h := range hist[:n] {
 			e.int(int64(h.Time))
 			e.floats(h.Row)
 		}
+		hist = hist[n:]
 	}
 }
 
@@ -684,17 +726,23 @@ func (d *decoder) online() *core.OnlineState {
 		o.SfHist = append(o.SfHist, s)
 	}
 	m := d.count(16)
-	// UserHist stays non-nil even when empty: it is the one container the
-	// solver mutates in place after restore.
-	o.UserHist = make(map[int][]core.UserSnapshotState, m)
+	if m > 0 {
+		o.UserHist = make([]core.UserSnapshotState, 0, m)
+	}
 	for i := uint64(0); i < m && d.err == nil; i++ {
 		g := int(d.int())
-		cnt := d.count(16)
-		var hist []core.UserSnapshotState
-		for j := uint64(0); j < cnt && d.err == nil; j++ {
-			hist = append(hist, core.UserSnapshotState{Time: int(d.int()), Row: d.floats()})
+		if i > 0 && g <= o.UserHist[len(o.UserHist)-1].User {
+			d.fail("user history ids not strictly ascending")
+			return nil
 		}
-		o.UserHist[g] = hist
+		cnt := d.count(16)
+		if cnt == 0 && d.err == nil {
+			d.fail("user history record without rows")
+			return nil
+		}
+		for j := uint64(0); j < cnt && d.err == nil; j++ {
+			o.UserHist = append(o.UserHist, core.UserSnapshotState{User: g, Time: int(d.int()), Row: d.floats()})
+		}
 	}
 	return o
 }

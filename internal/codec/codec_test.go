@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"triclust/internal/conform"
@@ -53,9 +55,10 @@ func fullState() *engine.State {
 				{Time: 3, Sf: denseOf(3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9), Seen: []bool{true, false, true}},
 				{Time: 4, Sf: denseOf(3, 3, 9, 8, 7, 6, 5, 4, 3, 2, 1), Seen: []bool{false, true, true}},
 			},
-			UserHist: map[int][]core.UserSnapshotState{
-				0: {{Time: 3, Row: []float64{0.5, 0.25, 0.25}}},
-				7: {{Time: 3, Row: []float64{1, 0, 0}}, {Time: 4, Row: []float64{0, 1, 0}}},
+			UserHist: []core.UserSnapshotState{
+				{User: 0, Time: 3, Row: []float64{0.5, 0.25, 0.25}},
+				{User: 7, Time: 3, Row: []float64{1, 0, 0}},
+				{User: 7, Time: 4, Row: []float64{0, 1, 0}},
 			},
 		},
 		LastFactors: &core.Factors{
@@ -93,7 +96,7 @@ func TestRoundTripMinimal(t *testing.T) {
 		MinDF:       2,
 		VocabCounts: map[string]int{"warm": 1},
 		VocabDocs:   1,
-		Online:      &core.OnlineState{UserHist: map[int][]core.UserSnapshotState{}},
+		Online:      &core.OnlineState{},
 	}
 	var buf bytes.Buffer
 	if err := Encode(&buf, st); err != nil {
@@ -454,4 +457,86 @@ func TestConformSectionVersionSkew(t *testing.T) {
 	if _, err := Decode(bytes.NewReader(forge(mutateConform(73, 200)))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("metric-count damage: got %v, want ErrCorrupt", err)
 	}
+}
+
+// TestUserHistOrderEnforced: the decoder accepts user history records
+// only in strictly ascending id order, each with at least one row — the
+// only layout an encoder writes — so a crafted snapshot cannot restore
+// one user's rows twice or split them.
+func TestUserHistOrderEnforced(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hist []core.UserSnapshotState
+	}{
+		{"descending", []core.UserSnapshotState{
+			{User: 7, Time: 3, Row: []float64{1, 0, 0}},
+			{User: 0, Time: 3, Row: []float64{0.5, 0.25, 0.25}},
+		}},
+		{"split", []core.UserSnapshotState{
+			{User: 0, Time: 3, Row: []float64{0.5, 0.25, 0.25}},
+			{User: 7, Time: 3, Row: []float64{1, 0, 0}},
+			{User: 0, Time: 4, Row: []float64{0, 1, 0}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := fullState()
+			st.Online.UserHist = tc.hist
+			var buf bytes.Buffer
+			if err := Encode(&buf, st); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Decode(&buf); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Decode: %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// wideState is a frozen k=3 state over a universe of n users, every one
+// of them with a recorded estimate row.
+func wideState(n int) *engine.State {
+	st := fullState()
+	st.Users = make([]tgraph.User, n)
+	st.Online.UserHist = make([]core.UserSnapshotState, n)
+	rows := make([]float64, 3*n)
+	for u := range st.Users {
+		st.Users[u] = tgraph.User{Name: "user", Label: tgraph.NoLabel}
+		row := rows[3*u : 3*u+3 : 3*u+3]
+		row[0], row[1], row[2] = float64(u), 0.5, 0.25
+		st.Online.UserHist[u] = core.UserSnapshotState{User: u, Time: 4, Row: row}
+	}
+	return st
+}
+
+// TestEncodeAllocationBounded: Encode streams the snapshot, so the heap
+// it allocates does not grow with the state — a 200k-user state (about
+// 15 MB encoded) costs the same few buffers as a tiny one.
+func TestEncodeAllocationBounded(t *testing.T) {
+	const bound = 256 << 10
+	st := wideState(200_000)
+	var cw countingWriter
+	if err := Encode(&cw, st); err != nil {
+		t.Fatal(err)
+	}
+	allocated := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := Encode(io.Discard, st); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("Encode of a %d-byte snapshot allocated %d bytes", cw.n, allocated)
+	if allocated > bound {
+		t.Fatalf("Encode of a %d-byte snapshot allocated %d bytes, want at most %d", cw.n, allocated, bound)
+	}
+}
+
+type countingWriter struct{ n int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
 }

@@ -563,11 +563,18 @@ func reuseBools(s []bool, n int) []bool {
 // score disappeared users at later timestamps (their sentiment persists
 // per Observation 2).
 func (o *Online) LastUserEstimate(g int) []float64 {
+	return append([]float64(nil), o.LastUserRow(g)...)
+}
+
+// LastUserRow is LastUserEstimate without the copy: the row is the
+// solver's own storage, so the caller must copy what it keeps before the
+// next Step and must not mutate it.
+func (o *Online) LastUserRow(g int) []float64 {
 	hist := o.userHist[g]
 	if len(hist) == 0 {
 		return nil
 	}
-	return append([]float64(nil), hist[len(hist)-1].row...)
+	return hist[len(hist)-1].row
 }
 
 // KnownUsers returns the number of users with recorded history.

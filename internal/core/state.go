@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"triclust/internal/mat"
 )
@@ -75,8 +76,10 @@ type SfSnapshotState struct {
 	Seen []bool
 }
 
-// UserSnapshotState is the serializable form of one retained user row.
+// UserSnapshotState is the serializable form of one retained user row:
+// user User's Su row of snapshot Time.
 type UserSnapshotState struct {
+	User int
 	Time int
 	Row  []float64
 }
@@ -96,17 +99,16 @@ type OnlineState struct {
 	LastHp, LastHu *mat.Dense
 	// SfHist holds the retained feature snapshots, oldest first.
 	SfHist []SfSnapshotState
-	// UserHist holds the retained Su rows per global user id.
-	UserHist map[int][]UserSnapshotState
+	// UserHist holds the retained Su rows of every user with history,
+	// grouped by global user id in ascending id order (each user's rows
+	// oldest first).
+	UserHist []UserSnapshotState
 }
 
 // ExportState deep-copies the solver's mutable state. The solver remains
 // usable; the returned state is independent of later Steps.
 func (o *Online) ExportState() *OnlineState {
-	st := &OnlineState{
-		RandDraws: o.src.n,
-		UserHist:  make(map[int][]UserSnapshotState, len(o.userHist)),
-	}
+	st := &OnlineState{RandDraws: o.src.n}
 	if o.lastHp != nil {
 		st.LastHp = o.lastHp.Clone()
 		st.LastHu = o.lastHu.Clone()
@@ -119,12 +121,27 @@ func (o *Online) ExportState() *OnlineState {
 			Seen: append([]bool(nil), s.seen...),
 		}
 	}
+	// The rows of every user share one slab, so the export costs a few
+	// large allocations whatever the number of users.
+	ids := make([]int, 0, len(o.userHist))
+	entries, floats := 0, 0
 	for g, hist := range o.userHist {
-		rows := make([]UserSnapshotState, len(hist))
-		for i, h := range hist {
-			rows[i] = UserSnapshotState{Time: h.time, Row: append([]float64(nil), h.row...)}
+		ids = append(ids, g)
+		entries += len(hist)
+		for _, h := range hist {
+			floats += len(h.row)
 		}
-		st.UserHist[g] = rows
+	}
+	slices.Sort(ids)
+	st.UserHist = make([]UserSnapshotState, 0, entries)
+	slab := make([]float64, floats)
+	for _, g := range ids {
+		for _, h := range o.userHist[g] {
+			row := slab[:len(h.row):len(h.row)]
+			slab = slab[len(h.row):]
+			copy(row, h.row)
+			st.UserHist = append(st.UserHist, UserSnapshotState{User: g, Time: h.time, Row: row})
+		}
 	}
 	return st
 }
@@ -182,16 +199,14 @@ func NewOnlineFromState(cfg OnlineConfig, st *OnlineState) (*Online, error) {
 			seen: append([]bool(nil), s.Seen...),
 		}
 	}
-	for g, hist := range st.UserHist {
-		rows := make([]userSnapshot, len(hist))
-		for i, h := range hist {
-			if len(h.Row) != k {
-				return nil, fmt.Errorf("core: user %d history row %d has %d entries, want k=%d",
-					g, i, len(h.Row), k)
-			}
-			rows[i] = userSnapshot{time: h.Time, row: append([]float64(nil), h.Row...)}
+	for i, h := range st.UserHist {
+		if len(h.Row) != k {
+			return nil, fmt.Errorf("core: user %d history row has %d entries, want k=%d", h.User, len(h.Row), k)
 		}
-		o.userHist[g] = rows
+		if i > 0 && st.UserHist[i-1].User > h.User {
+			return nil, fmt.Errorf("core: user history not in ascending user order at user %d", h.User)
+		}
+		o.userHist[h.User] = append(o.userHist[h.User], userSnapshot{time: h.Time, row: append([]float64(nil), h.Row...)})
 	}
 	return o, nil
 }

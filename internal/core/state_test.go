@@ -95,15 +95,6 @@ func TestNewOnlineFromStateRejectsIncoherentState(t *testing.T) {
 	if _, err := NewOnlineFromState(cfg, o.ExportState()); err != nil {
 		t.Fatalf("unmutated state must restore: %v", err)
 	}
-	anyUser := func(st *OnlineState) int {
-		for g, hist := range st.UserHist {
-			if len(hist) > 0 {
-				return g
-			}
-		}
-		t.Fatal("no user history in state")
-		return -1
-	}
 	cases := []struct {
 		name   string
 		mutate func(st *OnlineState)
@@ -128,8 +119,17 @@ func TestNewOnlineFromStateRejectsIncoherentState(t *testing.T) {
 			st.SfHist[0].Seen = st.SfHist[0].Seen[:len(st.SfHist[0].Seen)-1]
 		}},
 		{"user row length", func(st *OnlineState) {
-			g := anyUser(st)
-			st.UserHist[g][0].Row = []float64{1}
+			if len(st.UserHist) == 0 {
+				t.Fatal("no user history in state")
+			}
+			st.UserHist[0].Row = []float64{1}
+		}},
+		{"user order", func(st *OnlineState) {
+			if len(st.UserHist) < 2 || st.UserHist[0].User == st.UserHist[len(st.UserHist)-1].User {
+				t.Fatal("state holds fewer than two users")
+			}
+			last := len(st.UserHist) - 1
+			st.UserHist[0], st.UserHist[last] = st.UserHist[last], st.UserHist[0]
 		}},
 	}
 	for _, tc := range cases {

@@ -51,6 +51,13 @@ type Session struct {
 
 	batches int
 	skips   int
+
+	// Read-plane bookkeeping (see BuildView): origin and viewGen name the
+	// view this session built last, recorded lists the users whose
+	// estimates changed since.
+	origin   *viewOrigin
+	viewGen  uint64
+	recorded []int
 }
 
 // NewSession derives a stream over a fixed user universe: tweets in later
@@ -182,6 +189,7 @@ func (s *Session) Process(t int, tweets []tgraph.Tweet) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.noteRecorded(snap.Active)
 
 	// Scatter the tweet factor back to the caller's ordering so the
 	// public contract (rows follow the input) survives canonicalization.
@@ -202,6 +210,19 @@ func (s *Session) Process(t int, tweets []tgraph.Tweet) (*Outcome, error) {
 		out.Conform = &verdict
 	}
 	return out, nil
+}
+
+// noteRecorded adds the users a solve just recorded to the set the next
+// BuildView patches. A session that runs more than a universe's worth of
+// users ahead of its views drops the list and retires its last view, so
+// the next BuildView rebuilds in full and the list stays bounded.
+func (s *Session) noteRecorded(active []int) {
+	if len(s.recorded)+len(active) > len(s.users) {
+		s.recorded = s.recorded[:0]
+		s.viewGen++
+		return
+	}
+	s.recorded = append(s.recorded, active...)
 }
 
 // observation reduces the canonicalized batch (s.sorted, already

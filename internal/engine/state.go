@@ -73,14 +73,15 @@ type State struct {
 }
 
 // ExportState deep-copies the session's full state (model + session +
-// solver). Safe to call concurrently with Process: it takes both the
-// session and model locks.
+// solver), except the user universe, which never changes and is shared:
+// treat State.Users as read-only. Safe to call concurrently with
+// Process: it takes both the session and model locks.
 func (s *Session) ExportState() *State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := &State{
 		Config:    s.online.Config(),
-		Users:     append([]tgraph.User(nil), s.users...),
+		Users:     s.users,
 		Batches:   s.batches,
 		Skips:     s.skips,
 		Online:    s.online.ExportState(),

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"triclust/internal/conform"
 	"triclust/internal/mat"
 )
@@ -38,7 +40,8 @@ const SteadyDelta = 0.005
 // block writers, writers never wait for readers).
 //
 // A View and everything it references is frozen at publication. Readers
-// must treat every field — slices included — as read-only.
+// must treat every field — slices included — as read-only. Consecutive
+// views of one session share the user pages a batch did not touch.
 type View struct {
 	// Batches / Skips are the session's step counters at publication.
 	Batches, Skips int
@@ -55,18 +58,11 @@ type View struct {
 	// Frozen / VocabSize describe the vocabulary at publication.
 	Frozen    bool
 	VocabSize int
-	// NumUsers is the fixed user-universe size; Est and Known have this
-	// length. Known[u] reports whether user u has recorded history;
-	// KnownUsers counts the true entries. Est[u] is the labeled estimate
-	// (meaningful only where Known[u]).
+	// NumUsers is the fixed user-universe size; KnownUsers counts the
+	// users with recorded history (see UserEstimate).
 	NumUsers   int
 	KnownUsers int
-	Est        []Sentiment
-	Known      []bool
-	// Rows is the flat NumUsers×K matrix of raw estimate rows backing
-	// Est, kept so the next view can compute its Delta against this one.
-	Rows []float64
-	K    int
+	K          int
 	// Features labels the per-word rows of the most recent solve (nil
 	// before the first one), in vocabulary feature-index order.
 	Features []Sentiment
@@ -79,15 +75,52 @@ type View struct {
 	// Conform summarizes the stream-conformance profile at publication
 	// (learned invariants, verdict counters, drift trend).
 	Conform *conform.Report
+
+	// pages holds the users in blocks of pageSize: user u lives in
+	// pages[u>>pageShift] at slot u&pageMask. A nil page has no known
+	// user.
+	pages []*page
+	// origin / gen name the session and the BuildView call that built
+	// the view (WithSkip and WithEpoch copies keep both), so the next
+	// BuildView can tell whether only the users recorded since changed.
+	origin *viewOrigin
+	gen    uint64
 }
+
+// pageShift sets the users per page of a View (1<<pageShift): a batch
+// clones the pages of its active users and shares the rest.
+const (
+	pageShift = 8
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// page is the read-plane state of pageSize consecutive users: the
+// labeled estimate and known flag a read needs (fixed arrays, so a read
+// costs one pointer load more than a flat slice), and the raw estimate
+// rows (pageSize×K) the next view's Delta is computed against.
+type page struct {
+	est   [pageSize]Sentiment
+	known [pageSize]bool
+	rows  []float64
+}
+
+// viewOrigin identifies the Session a View was built by; only its
+// address matters (the field keeps it from being zero-sized, which
+// could give two origins one address).
+type viewOrigin struct{ _ byte }
 
 // UserEstimate returns the view's estimate for a user, or ok = false if
 // the user had no recorded history when the view was published.
 func (v *View) UserEstimate(user int) (Sentiment, bool) {
-	if user < 0 || user >= v.NumUsers || !v.Known[user] {
+	if user < 0 || user >= v.NumUsers {
 		return Sentiment{}, false
 	}
-	return v.Est[user], true
+	p := v.pages[user>>pageShift]
+	if p == nil || !p.known[user&pageMask] {
+		return Sentiment{}, false
+	}
+	return p.est[user&pageMask], true
 }
 
 // WithSkip returns a copy of v with one more skipped batch. A skipped
@@ -114,23 +147,22 @@ func (v *View) WithEpoch(e uint64) *View {
 // the previously published view (nil for the first), used to compute the
 // convergence delta; epoch is stamped in verbatim.
 //
-// The cost is O(knownUsers·k + vocab) per call — paid once per committed
-// batch on the write path, so the read path pays nothing.
+// When prev is the view this session built last (or a WithSkip/WithEpoch
+// copy of it), only the pages holding users recorded since are cloned
+// and every other page is shared with prev, so the cost is
+// O(batch users·pageSize·k + vocab) whatever the universe size. Any
+// other prev (nil, another session's, an older view) takes a full
+// O(knownUsers·k) build. Both paths publish bit-identical views.
 func (s *Session) BuildView(sf *mat.Dense, prev *View, epoch uint64) *View {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := s.online.Config().K
-	n := len(s.users)
 	v := &View{
 		Batches:   s.batches,
 		Skips:     s.skips,
 		RandDraws: s.online.RandDraws(),
 		Epoch:     epoch,
-		NumUsers:  n,
-		K:         k,
-		Est:       make([]Sentiment, n),
-		Known:     make([]bool, n),
-		Rows:      make([]float64, n*k),
+		NumUsers:  len(s.users),
+		K:         s.online.Config().K,
 	}
 	if t, ok := s.online.LastTime(); ok {
 		v.LastTime, v.HasTime = t, true
@@ -138,44 +170,140 @@ func (s *Session) BuildView(sf *mat.Dense, prev *View, epoch uint64) *View {
 	if vb := s.model.Vocabulary(); vb != nil {
 		v.Frozen, v.VocabSize = true, vb.Len()
 	}
-	s.online.VisitUserEstimates(func(u int, row []float64) {
-		if u < 0 || u >= n || len(row) != k {
-			return
-		}
-		v.Known[u] = true
-		v.KnownUsers++
-		copy(v.Rows[u*k:(u+1)*k], row)
-		v.Est[u] = LabelRow(row)
-	})
 	if sf != nil {
 		v.Features = Label(sf)
 	}
 	v.Conform = s.prof.Report()
-	v.Delta = viewDelta(v, prev)
+	if s.extends(prev) {
+		s.patchPages(v, prev)
+	} else {
+		s.fillPages(v)
+		v.Delta = viewDelta(v, prev)
+	}
 	v.State = viewState(v, s.online.Config().Window)
+	if s.origin == nil {
+		s.origin = &viewOrigin{}
+	}
+	s.viewGen++
+	v.origin, v.gen = s.origin, s.viewGen
+	s.recorded = s.recorded[:0]
 	return v
 }
 
+// extends reports whether prev is (a copy of) the view this session
+// built last, so the users recorded since are all that changed.
+func (s *Session) extends(prev *View) bool {
+	return prev != nil && s.origin != nil && prev.origin == s.origin && prev.gen == s.viewGen
+}
+
+// fillPages builds every page of v from the solver's user history.
+func (s *Session) fillPages(v *View) {
+	k := v.K
+	v.pages = make([]*page, (v.NumUsers+pageMask)>>pageShift)
+	s.online.VisitUserEstimates(func(u int, row []float64) {
+		if u < 0 || u >= v.NumUsers || len(row) != k {
+			return
+		}
+		p := v.pages[u>>pageShift]
+		if p == nil {
+			p = newPage(k)
+			v.pages[u>>pageShift] = p
+		}
+		i := u & pageMask
+		p.known[i] = true
+		copy(p.rows[i*k:(i+1)*k], row)
+		p.est[i] = LabelRow(row)
+		v.KnownUsers++
+	})
+}
+
+// patchPages builds v from prev, the view this session built last: the
+// pages of the users recorded since are cloned and updated, every other
+// page is shared. The Delta sum visits the recorded users in ascending
+// order and counts every user known to prev, exactly as viewDelta's full
+// scan does — an unrecorded user's row is unchanged and adds an exact
+// +0.0, and users never lose their history, so "known to both" is
+// "known to prev" — which keeps Delta bit-identical to a full rebuild.
+func (s *Session) patchPages(v, prev *View) {
+	k := v.K
+	v.pages = prev.pages
+	v.KnownUsers = prev.KnownUsers
+	if len(s.recorded) > 0 {
+		v.pages = slices.Clone(prev.pages)
+	}
+	slices.Sort(s.recorded)
+	sum, pi := 0.0, -1
+	var p *page
+	for _, u := range slices.Compact(s.recorded) {
+		row := s.online.LastUserRow(u)
+		if u>>pageShift != pi {
+			pi = u >> pageShift
+			p = clonePage(prev.pages[pi], k)
+			v.pages[pi] = p
+		}
+		i := u & pageMask
+		dst := p.rows[i*k : (i+1)*k]
+		if p.known[i] {
+			for j, x := range row {
+				d := x - dst[j]
+				if d < 0 {
+					d = -d
+				}
+				sum += d
+			}
+		} else {
+			p.known[i] = true
+			v.KnownUsers++
+		}
+		copy(dst, row)
+		p.est[i] = LabelRow(row)
+	}
+	v.Delta = 1
+	if cnt := prev.KnownUsers * k; cnt > 0 {
+		v.Delta = sum / float64(cnt)
+	}
+}
+
+func newPage(k int) *page { return &page{rows: make([]float64, pageSize*k)} }
+
+// clonePage returns a private copy of p (an empty page when p is nil).
+func clonePage(p *page, k int) *page {
+	if p == nil {
+		return newPage(k)
+	}
+	c := *p
+	c.rows = slices.Clone(p.rows)
+	return &c
+}
+
 // viewDelta is the mean absolute per-entry change of the user estimate
-// rows between v and prev, over users known to both. It is 1 (maximal)
-// when there is nothing to compare against — no previous view, a
-// different universe or class count, or no overlapping users.
+// rows between v and prev, over users known to both, scanning every
+// user in ascending order. It is 1 (maximal) when there is nothing to
+// compare against — no previous view, a different universe or class
+// count, or no overlapping users.
 func viewDelta(v, prev *View) float64 {
 	if prev == nil || prev.K != v.K || prev.NumUsers != v.NumUsers {
 		return 1
 	}
+	k := v.K
 	sum, cnt := 0.0, 0
-	for u := 0; u < v.NumUsers; u++ {
-		if !v.Known[u] || !prev.Known[u] {
+	for pi, p := range v.pages {
+		q := prev.pages[pi]
+		if p == nil || q == nil {
 			continue
 		}
-		for j := u * v.K; j < (u+1)*v.K; j++ {
-			d := v.Rows[j] - prev.Rows[j]
-			if d < 0 {
-				d = -d
+		for i := range p.known {
+			if !p.known[i] || !q.known[i] {
+				continue
 			}
-			sum += d
-			cnt++
+			for j := i * k; j < (i+1)*k; j++ {
+				d := p.rows[j] - q.rows[j]
+				if d < 0 {
+					d = -d
+				}
+				sum += d
+				cnt++
+			}
 		}
 	}
 	if cnt == 0 {
